@@ -38,7 +38,6 @@ from .power_energy import (
     total_power,
 )
 from .sglasso import (
-    LineSearchError,
     SolverOptions,
     SolverResult,
     SparseProblem,
@@ -63,7 +62,6 @@ __all__ = [
     "Combiner",
     "ConfigError",
     "ExperimentConfig",
-    "LineSearchError",
     "LsfdStatistics",
     "NetworkConfig",
     "NetworkInstance",
@@ -82,6 +80,7 @@ __all__ = [
     "energy_efficiency",
     "estimate_channels",
     "estimate_lsfd_statistics",
+    "estimation_stats",
     "extract_association",
     "fractional_power",
     "generate_network",

@@ -4,17 +4,18 @@ A run crosses setups x drops x combiners x (lambda, gamma) grid points.
 Per drop: generate a network, assign pilots, estimate statistics under
 full-association fractional powers, evaluate the closed-form decoders,
 then solve the sparse design at every grid point.  Results land in a CSV
-summary (one drop-averaged row per setup/combiner/grid point) and a JSON
-diagnostics file (schema 1) with objective traces and per-UE SE arrays.
+summary (one drop-averaged row per setup/combiner/grid point) and a strict
+JSON diagnostics file (schema 2) with objective traces and per-UE SE arrays.
 
-Exit codes: 0 success, 2 configuration error, 3 solver hard failure in
-any cell (failed cells are recorded and the sweep continues).
+Exit codes: 0 success, 2 configuration error, 3 failure in any cell
+(failed drops and cells are recorded and the sweep continues).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError
 from .lsfd import baseline_association, olsfd_weights, plsfd_weights, se, sinr
 from .network import NetworkConfig, generate_network
 from .pilots import assign_pilots, estimation_stats
@@ -35,13 +35,7 @@ from .power_energy import (
     fractional_power,
     total_power,
 )
-from .sglasso import (
-    LineSearchError,
-    SolverOptions,
-    bcd_solve,
-    build_problem,
-    snap_zeros,
-)
+from .sglasso import SolverOptions, bcd_solve, build_problem, snap_zeros
 from .uplink import Combiner, estimate_lsfd_statistics
 
 # pathloss offset expressing link gains over a -124 dBW noise floor
@@ -52,6 +46,10 @@ CSV_HEADER = (
     "setup,combiner,lambda,gamma,drop,avg_se_bps_hz,ee_bit_per_joule,"
     "mean_serving_aps,mean_served_ues,solver_sweeps,kkt_residual,wall_ms"
 )
+
+# what a drop or a cell records as its failure instead of raising: numpy
+# overflow, non-finite or invalid statistics, and failed factorizations
+_FAILURES = (FloatingPointError, ValueError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -120,11 +118,12 @@ class BaselineRecord:
     combiner: str
     drop: int
     powers: np.ndarray
-    olsfd_se: np.ndarray
-    olsfd_ee: float
-    plsfd_se: np.ndarray
-    plsfd_ee: float
-    plsfd_mean_serving: float
+    olsfd_se: np.ndarray = None
+    olsfd_ee: float = np.nan
+    plsfd_se: np.ndarray = None
+    plsfd_ee: float = np.nan
+    plsfd_mean_serving: float = np.nan
+    error: str = None
 
 
 @dataclass
@@ -155,6 +154,10 @@ class RunReport:
     records: list
     baselines: list
     failures: int = 0
+
+
+def _describe(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _per_ue_se(a, stats, tau_p, tau_c):
@@ -191,14 +194,54 @@ def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam
             rec.post_powers = fractional_power(
                 beta, assoc.serving, cfg.power.p_max_w, cfg.power.theta
             )
-    except (LineSearchError, NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
-        rec.error = f"{type(exc).__name__}: {exc}"
+    except _FAILURES as exc:
+        rec.error = _describe(exc)
     if cfg.record_timing:
         rec.wall_ms = (time.perf_counter() - start) * 1e3
     return rec
 
 
-def _run_drop(cfg, setup, drop):
+def _baseline_record(cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas):
+    """SE and EE of the optimal (all-serve) and partial decoders."""
+    n_ue, n_ap = stats.b.shape
+    o_se = np.array([
+        se(
+            sinr(olsfd_weights(stats.A[k], stats.b[k]), stats.A[k], stats.b[k]),
+            cfg.tau_p, cfg.tau_c,
+        )
+        for k in range(n_ue)
+    ])
+    o_assoc = Association.full(n_ue, n_ap)
+    o_ee = energy_efficiency(
+        o_se,
+        total_power(o_assoc, p, o_se, cfg.power, n_antennas),
+        cfg.power.bandwidth_hz,
+    )
+    p_assoc = baseline_association(inst.beta, plan)
+    p_se = np.array([
+        se(
+            sinr(
+                plsfd_weights(stats.A[k], stats.b[k], p_assoc.serving[k]),
+                stats.A[k], stats.b[k],
+            ),
+            cfg.tau_p, cfg.tau_c,
+        )
+        for k in range(n_ue)
+    ])
+    p_ee = energy_efficiency(
+        p_se,
+        total_power(p_assoc, p, p_se, cfg.power, n_antennas),
+        cfg.power.bandwidth_hz,
+    )
+    return BaselineRecord(
+        setup=setup_name, combiner=comb.value, drop=drop, powers=p,
+        olsfd_se=o_se, olsfd_ee=o_ee,
+        plsfd_se=p_se, plsfd_ee=p_ee,
+        plsfd_mean_serving=p_assoc.mean_serving(),
+    )
+
+
+def _run_drop(cfg, setup, drop, stats_workers):
     n_ap, n_antennas = setup
     setup_name = f"L{n_ap}N{n_antennas}"
     net_cfg = replace(cfg.network, L=n_ap, N=n_antennas)
@@ -212,53 +255,31 @@ def _run_drop(cfg, setup, drop):
     for comb in cfg.combiners:
         stats = estimate_lsfd_statistics(
             inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
-            n_workers=cfg.n_workers,
+            n_workers=stats_workers,
         )
-        o_se = np.array([
-            se(
-                sinr(olsfd_weights(stats.A[k], stats.b[k]), stats.A[k], stats.b[k]),
-                cfg.tau_p, cfg.tau_c,
-            )
-            for k in range(net_cfg.K)
-        ])
-        o_assoc = Association.full(net_cfg.K, n_ap)
-        o_ee = energy_efficiency(
-            o_se,
-            total_power(o_assoc, p, o_se, cfg.power, n_antennas),
-            cfg.power.bandwidth_hz,
-        )
-        p_assoc = baseline_association(inst.beta, plan)
-        p_se = np.array([
-            se(
-                sinr(
-                    plsfd_weights(stats.A[k], stats.b[k], p_assoc.serving[k]),
-                    stats.A[k], stats.b[k],
-                ),
-                cfg.tau_p, cfg.tau_c,
-            )
-            for k in range(net_cfg.K)
-        ])
-        p_ee = energy_efficiency(
-            p_se,
-            total_power(p_assoc, p, p_se, cfg.power, n_antennas),
-            cfg.power.bandwidth_hz,
-        )
-        baselines.append(BaselineRecord(
-            setup=setup_name, combiner=comb.value, drop=drop, powers=p,
-            olsfd_se=o_se, olsfd_ee=o_ee,
-            plsfd_se=p_se, plsfd_ee=p_ee,
-            plsfd_mean_serving=p_assoc.mean_serving(),
-        ))
         try:
-            problem = build_problem(stats)
-        except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
+            if not (np.all(np.isfinite(stats.A)) and np.all(np.isfinite(stats.b))):
+                raise FloatingPointError("LSFD statistics are not finite")
+            base = _baseline_record(
+                cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas,
+            )
+        except _FAILURES as exc:
+            base = BaselineRecord(setup=setup_name, combiner=comb.value,
+                                  drop=drop, powers=p, error=_describe(exc))
+        baselines.append(base)
+        error = base.error
+        if error is None:
+            try:
+                problem = build_problem(stats)
+            except _FAILURES as exc:
+                error = _describe(exc)
+        if error is not None:
             # statistics unusable: mark every grid cell failed, keep going
             for lam in cfg.lambda_grid:
                 for gam in cfg.gamma_grid:
                     records.append(RunRecord(
                         setup=setup_name, combiner=comb.value, lam=lam,
-                        gamma=gam, drop=drop,
-                        error=f"{type(exc).__name__}: {exc}",
+                        gamma=gam, drop=drop, error=error,
                     ))
             continue
         for lam in cfg.lambda_grid:
@@ -273,11 +294,12 @@ def _run_drop(cfg, setup, drop):
 def run_experiment(cfg):
     """Run the full sweep; cell failures are recorded, not raised."""
     jobs = [(setup, drop) for setup in cfg.setups for drop in range(cfg.n_drops)]
+    # one pool only: drops in parallel, or the statistics chunks of each drop
     if cfg.n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            outputs = list(pool.map(lambda j: _run_drop(cfg, *j), jobs))
+            outputs = list(pool.map(lambda j: _run_drop(cfg, *j, 1), jobs))
     else:
-        outputs = [_run_drop(cfg, *job) for job in jobs]
+        outputs = [_run_drop(cfg, *job, cfg.n_workers) for job in jobs]
     baselines = []
     records = []
     for base, recs in outputs:
@@ -333,11 +355,25 @@ def _tolist(x):
     return None if x is None else np.asarray(x).tolist()
 
 
+def _strict(obj):
+    """Copy of a JSON-like tree with non-finite floats replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def diagnostics(report):
-    """JSON-serializable diagnostics dictionary (schema 1)."""
+    """Strict-JSON-serializable diagnostics dictionary (schema 2).
+
+    Non-finite numbers, such as the fields of a failed cell, are None.
+    """
     cfg = report.config
-    return {
-        "schema": 1,
+    return _strict({
+        "schema": 2,
         "config": {
             "seed": cfg.seed,
             "setups": [list(s) for s in cfg.setups],
@@ -355,6 +391,7 @@ def diagnostics(report):
                 "setup": b.setup,
                 "combiner": b.combiner,
                 "drop": b.drop,
+                "error": b.error,
                 "powers_w": _tolist(b.powers),
                 "olsfd": {"per_ue_se": _tolist(b.olsfd_se), "ee": b.olsfd_ee},
                 "plsfd": {
@@ -389,7 +426,7 @@ def diagnostics(report):
             for r in report.records
         ],
         "failures": report.failures,
-    }
+    })
 
 
 def write_outputs(report, out_dir):
@@ -397,7 +434,7 @@ def write_outputs(report, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text("\n".join(sweep_summary(report)) + "\n")
     with open(out / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics(report), fh, indent=1)
+        json.dump(diagnostics(report), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -476,10 +513,7 @@ _KEY_MAP = {
     "power.p_lsfd": ("power", "p_lsfd_w", float),
     "power.p_deco": ("power", "p_deco_w_per_bps", float),
     "solver.max_sweeps": ("solver", "max_sweeps", int),
-    "solver.inner_max": ("solver", "inner_max", int),
     "solver.tol_rel": ("solver", "tol_rel", float),
-    "solver.backtrack_factor": ("solver", "backtrack_factor", float),
-    "solver.mu_init": ("solver", "mu_init", float),
 }
 
 

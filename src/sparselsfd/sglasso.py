@@ -5,8 +5,10 @@ l2 term (gamma, one group per AP, across UEs) and an elementwise l1 term
 (lambda) to switch whole APs off and prune per-UE coefficients.  With
 per-UE Cholesky factors A_k = Abar_k^H Abar_k the problem becomes a
 penalized least squares ||bbar - Abar a||^2 + Omega(a), solved by cyclic
-block-coordinate descent over AP groups; each group subproblem runs an
-accelerated proximal (FISTA-style) loop with backtracking.
+block-coordinate descent over AP groups.  Every group Gram matrix is
+diagonal, so each group subproblem is solved exactly: a soft threshold,
+a group-zero test, and one scalar secular equation solved by Newton's
+method.
 
 All norms are taken in the real embedding [Re; Im] of the coefficients
 (an exact isometry for the fit and the group l2 term; the l1 term is the
@@ -23,14 +25,9 @@ import scipy.linalg
 
 from .linalg import NotPositiveDefiniteError
 
-INNER_TOL = 1e-8        # relative-change stop for the group inner loop
 ZERO_SNAP = 1e-12       # coefficients below this modulus snap to exact zero
-MU_FLOOR = 1e-30        # line-search step underflow
 _RESID_REFRESH = 64     # sweeps between exact residual recomputations
-
-
-class LineSearchError(RuntimeError):
-    """Raised when backtracking shrinks the step below MU_FLOOR."""
+_NEWTON_MAX = 64        # secular-equation Newton steps before giving up
 
 
 @dataclass(frozen=True)
@@ -66,20 +63,15 @@ class SolverOptions:
     gamma: float = 0.0
     lam: float = 0.0
     max_sweeps: int = 10_000
-    inner_max: int = 100
     tol_rel: float = 1e-8
-    backtrack_factor: float = 0.5
-    mu_init: float = 1.0
 
     def __post_init__(self):
         if self.gamma < 0 or self.lam < 0:
             raise ValueError("penalties must be nonnegative")
-        if self.max_sweeps < 1 or self.inner_max < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if self.mu_init <= 0 or self.tol_rel < 0:
-            raise ValueError("mu_init must be positive and tol_rel nonnegative")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be at least 1")
+        if self.tol_rel < 0:
+            raise ValueError("tol_rel must be nonnegative")
 
 
 @dataclass
@@ -115,22 +107,6 @@ def build_problem(stats):
     return SparseProblem(chol=chol, target=target, p=p.copy(), gram=gram)
 
 
-def complex_to_real(alpha, mat, resid):
-    """Real embedding of one complex least-squares group.
-
-    Returns (alpha_r, mat_r, resid_r): mat_r = [[Re, -Im], [Im, Re]],
-    vectors stacked [Re; Im].  ||resid_r - mat_r @ alpha_r|| equals the
-    complex residual norm exactly.
-    """
-    mat = np.asarray(mat)
-    alpha = np.asarray(alpha)
-    resid = np.asarray(resid)
-    mat_r = np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
-    alpha_r = np.concatenate([alpha.real, alpha.imag])
-    resid_r = np.concatenate([resid.real, resid.imag])
-    return alpha_r, mat_r, resid_r
-
-
 def prox_l1(x, mu):
     """Soft threshold: sign(x) * max(|x| - mu, 0), elementwise (real input)."""
     if mu < 0:
@@ -155,89 +131,44 @@ def prox_composite(x, mu, gamma, lam):
     return prox_l2(prox_l1(x, mu * lam), mu * gamma)
 
 
-def _prox_composite_cx(x, mu, gamma, lam):
-    """prox_composite on the real embedding, expressed on complex coordinates."""
-    re = np.sign(x.real) * np.maximum(np.abs(x.real) - mu * lam, 0.0)
-    im = np.sign(x.imag) * np.maximum(np.abs(x.imag) - mu * lam, 0.0)
-    y = re + 1j * im
-    nrm = np.linalg.norm(y)
-    if nrm <= mu * gamma:
-        return np.zeros_like(y)
-    return y * (1.0 - mu * gamma / nrm)
-
-
 def _l1_realform(a):
     return float(np.sum(np.abs(a.real)) + np.sum(np.abs(a.imag)))
 
 
-def _group_core(g, c, alpha0, options):
-    """Accelerated proximal loop for one group subproblem.
+def _group_core(g, c, gamma, lam):
+    """Exact minimizer of one group subproblem.
 
     Minimizes sum_k g_k |alpha_k|^2 - 2 Re(c^H alpha) + gamma ||alpha|| +
-    lam * l1(real form) starting from alpha0.  g is the (diagonal) group
-    Gram, c the group correlation with the partial residual.  Returns the
-    best iterate found, so the subproblem objective never increases.
+    lam * l1(real form), where g > 0 is the (diagonal) group Gram and c the
+    group correlation with the partial residual.  With u = soft(2c, lam)
+    on both parts, the group is zero iff ||u|| <= gamma; otherwise
+    alpha = u t / (2 g t + gamma) with t = ||alpha|| the root of
+    ||u / (2 g t + gamma)|| = 1.
     """
-    gamma, lam = options.gamma, options.lam
-
-    # group-zero KKT condition ||soft(2c, lam)||_2 <= gamma: zero is the
-    # exact subproblem minimizer, no iteration needed
-    re = np.maximum(2.0 * np.abs(c.real) - lam, 0.0)
-    im = np.maximum(2.0 * np.abs(c.imag) - lam, 0.0)
-    if float(re @ re + im @ im) <= gamma * gamma:
-        return np.zeros_like(alpha0)
-
-    def phi(al):
-        quad = float(np.sum(g * np.abs(al) ** 2)) - 2.0 * np.real(np.vdot(c, al))
-        return quad + gamma * np.linalg.norm(al) + lam * _l1_realform(al)
-
-    a_prev = alpha0
-    a_cur = alpha0
-    best = alpha0
-    best_phi = phi(alpha0)
-    mu = options.mu_init
-    for n in range(1, options.inner_max + 1):
-        momentum = (n - 1.0) / (n + 2.0)
-        z = a_cur + momentum * (a_cur - a_prev)
-        grad = 2.0 * (g * z - c)
-        # curvature overflow reads as a failed test and backtracks, as wanted
-        with np.errstate(over="ignore"):
-            while True:
-                cand = _prox_composite_cx(z - mu * grad, mu, gamma, lam)
-                d = cand - z
-                dsq = float(np.sum(np.abs(d) ** 2))
-                if dsq == 0.0:
-                    break
-                # sufficient decrease for the quadratic fit reduces exactly to
-                # a curvature test: f(cand) <= f(z) + <grad, d> + ||d||^2/(2 mu)
-                # iff 2 mu d^H G d <= ||d||^2
-                if 2.0 * mu * float(np.sum(g * np.abs(d) ** 2)) <= dsq:
-                    break
-                mu *= options.backtrack_factor
-                if mu < MU_FLOOR:
-                    raise LineSearchError("line-search step underflow")
-        rel = np.sqrt(float(np.sum(np.abs(cand - a_cur) ** 2))) / max(
-            np.sqrt(float(np.sum(np.abs(a_cur) ** 2))), 1e-30
-        )
-        a_prev, a_cur = a_cur, cand
-        cand_phi = phi(cand)
-        if cand_phi < best_phi:
-            best_phi = cand_phi
-            best = cand
-        if rel < INNER_TOL:
+    u = prox_l1(2.0 * c.real, lam) + 1j * prox_l1(2.0 * c.imag, lam)
+    usq = u.real ** 2 + u.imag ** 2
+    if float(np.sum(usq)) <= gamma * gamma:
+        return np.zeros_like(c)
+    if gamma == 0.0:
+        return u / (2.0 * g)
+    # Newton on 1/||w(t)|| - 1, concave and increasing in t: from t = 0 the
+    # iterates rise monotonically to the root, in one step for constant g.
+    # Early steps can grow by orders of magnitude when gamma << ||u||, so
+    # stop at the root's sign change or once a step no longer moves t.
+    t = 0.0
+    for _ in range(_NEWTON_MAX):
+        d = 2.0 * g * t + gamma
+        h = float(np.sum(usq / d ** 2))  # ||w(t)||^2
+        root = np.sqrt(h)
+        if root <= 1.0:
             break
-    return best
-
-
-def group_step(problem, l, alpha_l, resid_l, options):
-    """One group update given the partial residual r_l (group l excluded).
-
-    alpha_l is the current group vector (K,), resid_l the (K, L) partial
-    residual target - sum_{j != l} column contributions.
-    """
-    cols = problem.chol[:, :, l]
-    c = np.einsum("kr,kr->k", cols.conj(), resid_l)
-    return _group_core(problem.gram[:, l], c, np.asarray(alpha_l), options)
+        step = h * (root - 1.0) / (2.0 * float(np.sum(g * usq / d ** 3)))
+        if t + step == t:
+            break
+        t += step
+    else:
+        raise FloatingPointError("group secular equation did not converge")
+    return u * (t / (2.0 * g * t + gamma))
 
 
 def _apply_factors(chol, a):
@@ -265,29 +196,31 @@ def bcd_solve(problem, options=SolverOptions()):
     trace = [f_prev - const]
     converged = False
     sweeps = 0
-    for sweep in range(1, options.max_sweeps + 1):
-        sweeps = sweep
-        for l in range(n_ap):
-            cols = problem.chol[:, :, l]
-            al = a[:, l]
-            # c = cols^H r_l with r_l = resid + cols * al; diagonal Gram
-            c = np.einsum("kr,kr->k", cols.conj(), resid) + problem.gram[:, l] * al
-            new = _group_core(problem.gram[:, l], c, al, options)
-            delta = new - al
-            if np.any(delta):
-                a[:, l] = new
-                resid -= cols * delta[:, None]
-        if sweep % _RESID_REFRESH == 0:
-            resid = problem.target - _apply_factors(problem.chol, a)
-        f_cur = float(np.sum(np.abs(resid) ** 2)) + _penalty(
-            a, options.gamma, options.lam
-        )
-        trace.append(f_cur - const)
-        rel = (f_prev - f_cur) / max(abs(f_prev), 1e-30)
-        f_prev = f_cur
-        if rel < options.tol_rel:
-            converged = True
-            break
+    # overflow in a group solve must fail the cell, not return garbage
+    with np.errstate(over="raise", invalid="raise"):
+        for sweep in range(1, options.max_sweeps + 1):
+            sweeps = sweep
+            for l in range(n_ap):
+                cols = problem.chol[:, :, l]
+                al = a[:, l]
+                # c = cols^H r_l with r_l = resid + cols * al; diagonal Gram
+                c = np.einsum("kr,kr->k", cols.conj(), resid) + problem.gram[:, l] * al
+                new = _group_core(problem.gram[:, l], c, options.gamma, options.lam)
+                delta = new - al
+                if np.any(delta):
+                    a[:, l] = new
+                    resid -= cols * delta[:, None]
+            if sweep % _RESID_REFRESH == 0:
+                resid = problem.target - _apply_factors(problem.chol, a)
+            f_cur = float(np.sum(np.abs(resid) ** 2)) + _penalty(
+                a, options.gamma, options.lam
+            )
+            trace.append(f_cur - const)
+            rel = (f_prev - f_cur) / max(abs(f_prev), 1e-30)
+            f_prev = f_cur
+            if rel < options.tol_rel:
+                converged = True
+                break
     resid = problem.target - _apply_factors(problem.chol, a)
     objective = float(np.sum(np.abs(resid) ** 2)) - const + _penalty(
         a, options.gamma, options.lam

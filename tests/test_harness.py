@@ -3,6 +3,8 @@
 import json
 from dataclasses import replace
 
+import sparselsfd
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -27,6 +29,13 @@ from sparselsfd.harness import (
     main,
     parse_config_text,
 )
+
+
+def test_star_import_exports_all_names():
+    namespace = {}
+    exec("from sparselsfd import *", namespace)
+    assert set(sparselsfd.__all__) <= set(namespace)
+    assert "estimation_stats" in namespace
 
 
 # --------------------------------------------------------------- config files
@@ -237,6 +246,23 @@ def test_worker_count_invariance(light_summary):
     assert sweep_summary(threaded) == light_summary
 
 
+def test_thread_pools_not_nested(monkeypatch):
+    # drops in a pool run their statistics serially; a lone drop gets the pool
+    seen = []
+    estimate = sparselsfd.harness.estimate_lsfd_statistics
+
+    def recording(*args, n_workers=1, **kwargs):
+        seen.append(n_workers)
+        return estimate(*args, n_workers=n_workers, **kwargs)
+
+    monkeypatch.setattr(sparselsfd.harness, "estimate_lsfd_statistics", recording)
+    run_experiment(mini_config(lambda_grid=(1e-1,), n_workers=3))
+    assert seen == [1, 1]
+    seen.clear()
+    run_experiment(mini_config(lambda_grid=(1e-1,), n_workers=3, n_drops=1))
+    assert seen == [3]
+
+
 def test_paper_setup_a_completes():
     # loose solver settings: the claim is completion, not convergence depth
     cfg = replace(
@@ -247,7 +273,7 @@ def test_paper_setup_a_completes():
         gamma_grid=(1e-4, 1e-2),
         n_blocks=80,
         record_timing=False,
-        solver=SolverOptions(max_sweeps=60, inner_max=25, tol_rel=1e-4),
+        solver=SolverOptions(max_sweeps=60, tol_rel=1e-4),
     )
     report = run_experiment(cfg)
     assert report.failures == 0
@@ -262,7 +288,7 @@ def test_paper_setup_a_completes():
 
 def test_diagnostics_schema(mini_report):
     diag = diagnostics(mini_report)
-    assert diag["schema"] == 1
+    assert diag["schema"] == 2
     assert diag["failures"] == 0
     assert diag["config"]["seed"] == 7
     assert len(diag["cells"]) == len(mini_report.records)
@@ -287,7 +313,7 @@ def test_write_outputs(tmp_path, mini_report):
     assert len(lines) == 4
     with open(tmp_path / "out" / "diagnostics.json") as fh:
         diag = json.load(fh)
-    assert diag["schema"] == 1
+    assert diag["schema"] == 2
 
 
 # ------------------------------------------------------------------------ CLI
@@ -338,18 +364,51 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_solver_failure_exit_3(tmp_path, capsys):
-    # absurd gain scale drives curvature past 1/MU_FLOOR: every cell's
-    # line search underflows and is recorded as a failure
+def run_cli_with_gain(tmp_path, gain_offset_db):
     cfg_path = tmp_path / "fail.cfg"
-    cfg_path.write_text(MINI_CFG_TEXT + "network.gain_offset_db = 1500\n")
+    cfg_path.write_text(MINI_CFG_TEXT + f"network.gain_offset_db = {gain_offset_db}\n")
     out = tmp_path / "results"
     code = main([
         "run", "--config", str(cfg_path), "--desk-scale", "--out", str(out),
     ])
+    return code, out
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_solver_failure_exit_3(tmp_path, capsys):
+    # absurd gain scale overflows the group solves: every cell is recorded
+    # as a failure
+    code, out = run_cli_with_gain(tmp_path, 1500)
     assert code == 3
     assert "failed" in capsys.readouterr().err
     with open(out / "diagnostics.json") as fh:
         diag = json.load(fh)
     assert diag["failures"] == len(diag["cells"]) > 0
-    assert all("LineSearchError" in cell["error"] for cell in diag["cells"])
+    assert all("FloatingPointError" in cell["error"] for cell in diag["cells"])
+
+
+def test_cli_failed_cells_write_strict_json(tmp_path, capsys):
+    code, out = run_cli_with_gain(tmp_path, 1500)
+    assert code == 3
+    capsys.readouterr()
+    with open(out / "diagnostics.json") as fh:
+        diag = json.load(fh, parse_constant=reject_constant)
+    assert all(cell["avg_se_bps_hz"] is None for cell in diag["cells"])
+
+
+def test_cli_bad_drop_exit_3(tmp_path, capsys):
+    # statistics overflow to inf: the drop's baselines and cells are
+    # recorded as failed and the outputs are still written
+    code, out = run_cli_with_gain(tmp_path, 2000)
+    assert code == 3
+    assert "failed" in capsys.readouterr().err
+    assert (out / "summary.csv").read_text().startswith(CSV_HEADER)
+    with open(out / "diagnostics.json") as fh:
+        diag = json.load(fh, parse_constant=reject_constant)
+    assert diag["failures"] == len(diag["cells"]) > 0
+    assert all(base["error"] for base in diag["baselines"])
+    assert all(base["error"] == cell["error"]
+               for base in diag["baselines"] for cell in diag["cells"])

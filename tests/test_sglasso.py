@@ -9,9 +9,8 @@ from sparselsfd.sglasso import (
     SolverOptions,
     SparseProblem,
     bcd_solve,
+    _group_core,
     build_problem,
-    complex_to_real,
-    group_step,
     kkt_residual,
     prox_composite,
     prox_l1,
@@ -189,48 +188,27 @@ def test_build_problem_rejects_indefinite():
     assert "1" in str(err.value)
 
 
-# ------------------------------------------------------------- real embedding
+# ----------------------------------------------------------------- group solve
 
-def test_complex_to_real_degenerate():
-    alpha = np.array([1.0 + 0.0j, -2.0 + 0.0j])
-    mat = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
-    resid = np.array([0.5 + 0.0j, 1.0 + 0.0j])
-    al, ml, rl = complex_to_real(alpha, mat, resid)
-    npt.assert_array_equal(al[2:], 0.0)
-    npt.assert_array_equal(rl[2:], 0.0)
-    npt.assert_array_equal(ml[:2, 2:], 0.0)
-    npt.assert_array_equal(ml[2:, :2], 0.0)
+def group_corr(problem, l, resid_l):
+    """Correlation of group l's columns with the partial residual."""
+    return np.einsum("kr,kr->k", problem.chol[:, :, l].conj(), resid_l)
 
 
-def test_complex_to_real_isometry():
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        alpha = complex_normal(rng, (4,))
-        mat = complex_normal(rng, (5, 4))
-        resid = complex_normal(rng, (5,))
-        al, ml, rl = complex_to_real(alpha, mat, resid)
-        npt.assert_allclose(np.linalg.norm(rl - ml @ al),
-                            np.linalg.norm(resid - mat @ alpha), rtol=1e-12)
-        # complex l1 is upper bounded by the real-form l1
-        assert np.abs(alpha).sum() <= np.abs(al).sum() + 1e-12
-
-
-# ----------------------------------------------------------------- group step
-
-def test_group_step_unpenalized_identity_gram():
+def test_group_core_unpenalized_identity_gram():
     rng = np.random.default_rng(7)
     chol = np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4)).copy()
     target = complex_normal(rng, (3, 4))
     problem = tiny_problem(chol, target)
-    options = SolverOptions(gamma=0.0, lam=0.0)
     for l in range(4):
-        out = group_step(problem, l, np.zeros(3, complex), target, options)
+        out = _group_core(problem.gram[:, l], group_corr(problem, l, target),
+                          0.0, 0.0)
         expected = np.einsum("kr,kr->k", chol[:, :, l].conj(), target)
         npt.assert_allclose(out, expected, atol=1e-8)
 
 
-def test_group_step_zero_threshold():
-    # if ||prox_l1(2 Abar^T r, lam)|| <= gamma the fixed point is the zero group
+def test_group_core_zero_threshold():
+    # if ||prox_l1(2 Abar^T r, lam)|| <= gamma the minimizer is the zero group
     rng = np.random.default_rng(8)
     for _ in range(20):
         chol = np.zeros((2, 1, 1), complex)
@@ -241,17 +219,49 @@ def test_group_step_zero_threshold():
         c2_real = np.concatenate([c2.real, c2.imag])
         lam = rng.uniform(0.0, 0.3)
         gamma = np.linalg.norm(prox_l1(c2_real, lam)) * 1.001
-        out = group_step(problem, 0, np.zeros(2, complex), target,
-                         SolverOptions(gamma=gamma, lam=lam))
+        out = _group_core(problem.gram[:, 0], group_corr(problem, 0, target),
+                          gamma, lam)
         npt.assert_array_equal(out, np.zeros(2, complex))
 
 
-def test_group_step_scalar_soft_threshold():
+def test_group_core_scalar_soft_threshold():
     # minimize a^2 - 4a + |a|: optimum (4 - 1)/2 = 1.5
     problem = tiny_problem([[[1.0]]], [[2.0]])
-    out = group_step(problem, 0, np.zeros(1, complex), problem.target,
-                     SolverOptions(gamma=0.0, lam=1.0))
+    out = _group_core(problem.gram[:, 0],
+                      group_corr(problem, 0, problem.target), 0.0, 1.0)
     npt.assert_allclose(out, [1.5 + 0.0j], rtol=1e-8)
+
+
+def test_group_core_is_exact_minimizer():
+    # optimality in the real embedding, for Gram entries across 12 decades
+    # and gamma / ||u|| from 1e-12 to 1:
+    # 2 g x - 2 c + gamma x / ||x|| + lam sign(x) = 0 where x != 0, and
+    # |2 c| <= lam where x = 0
+    rng = np.random.default_rng(22)
+    for _ in range(1000):
+        n = int(rng.integers(1, 21))
+        g = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        c = complex_normal(rng, (n,)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        c_r = np.concatenate([c.real, c.imag])
+        lam = rng.uniform(0.0, 1.0) * np.abs(2.0 * c_r).max()
+        u = prox_l1(2.0 * c.real, lam) + 1j * prox_l1(2.0 * c.imag, lam)
+        gamma = np.linalg.norm(u) * 10.0 ** rng.uniform(-12.0, 0.0)
+        out = _group_core(g, c, gamma, lam)
+        x = np.concatenate([out.real, out.imag])
+        g_r = np.concatenate([g, g])
+        assert np.linalg.norm(x) > 0
+        on = x != 0
+        grad = 2.0 * g_r * x - 2.0 * c_r + gamma * x / np.linalg.norm(x)
+        viol = np.where(on, np.abs(grad + lam * np.sign(x)),
+                        np.maximum(np.abs(2.0 * c_r) - lam, 0.0))
+        assert np.all(viol <= 1e-9 * (np.abs(2.0 * c_r) + lam + gamma))
+        # closed forms: no penalty on the group norm, and a constant Gram
+        npt.assert_allclose(_group_core(g, c, 0.0, lam), u / (2.0 * g),
+                            rtol=1e-14)
+        shrink = 1.0 - gamma / np.linalg.norm(u)
+        npt.assert_allclose(_group_core(np.full(n, g[0]), c, gamma, lam),
+                            u * shrink / (2.0 * g[0]),
+                            rtol=1e-12, atol=1e-14 * np.abs(u).max() / g[0])
 
 
 # ------------------------------------------------------------------ bcd_solve
@@ -407,7 +417,3 @@ def test_solver_options_validation():
         SolverOptions(lam=-0.5)
     with pytest.raises(ValueError):
         SolverOptions(tol_rel=-1e-9)
-    with pytest.raises(ValueError):
-        SolverOptions(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(mu_init=0.0)
