@@ -253,11 +253,11 @@ def _run_drop(cfg, setup, drop, stats_workers):
     baselines = []
     records = []
     for comb in cfg.combiners:
-        stats = estimate_lsfd_statistics(
-            inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
-            n_workers=stats_workers,
-        )
         try:
+            stats = estimate_lsfd_statistics(
+                inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
+                n_workers=stats_workers,
+            )
             if not (np.all(np.isfinite(stats.A)) and np.all(np.isfinite(stats.b))):
                 raise FloatingPointError("LSFD statistics are not finite")
             base = _baseline_record(

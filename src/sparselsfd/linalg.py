@@ -40,8 +40,11 @@ def solve_hermitian_pd(m, rhs, pivot_rtol=PIVOT_RTOL):
 
 
 def hermitian_sqrt(m):
-    """Hermitian PSD square root via eigendecomposition (deterministic)."""
+    """Hermitian PSD square root via eigendecomposition (deterministic).
+
+    Works on a single matrix or a stack of them in the last two axes.
+    """
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    root = (v * np.sqrt(w)[..., None, :]) @ herm(v)
+    return 0.5 * (root + herm(root))

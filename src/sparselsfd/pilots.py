@@ -123,54 +123,45 @@ class _DrawWork:
     """Precomputed per-link factors reused across chunk draws."""
 
     def __init__(self, instance, plan, stats):
-        cfg = instance.cfg
-        self.cfg = cfg
+        self.cfg = instance.cfg
         self.plan = plan
         scale = plan.tau_p * plan.rho_p
-        self.sqrt_r = np.empty_like(instance.R)
-        self.est = np.empty_like(instance.R)  # sqrt(tau_p rho_p) R Psi^-1
-        for k in range(cfg.K):
-            for l in range(cfg.L):
-                self.sqrt_r[k, l] = hermitian_sqrt(instance.R[k, l])
-                self.est[k, l] = np.sqrt(scale) * instance.R[k, l] @ np.linalg.inv(
-                    stats.Psi[k, l]
-                )
+        self.sqrt_r = hermitian_sqrt(instance.R)
+        # sqrt(tau_p rho_p) R Psi^-1 per link
+        self.est = np.sqrt(scale) * instance.R @ np.linalg.inv(stats.Psi)
 
 
 def _complex_normal(rng, shape):
     """CN(0, 1) iid samples, interleaved so leading blocks are prefix-stable."""
-    z = rng.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
 
 
 def _substream(seed, tag, i, j, chunk):
     return np.random.default_rng(np.random.SeedSequence([seed, tag, i, j, chunk]))
 
 
-def _draw_chunk(work, seed, chunk, n_in_chunk):
-    """Channels and MMSE estimates for blocks of one chunk.
+def _draw_ap(work, seed, chunk, l, n_in_chunk):
+    """Channels and MMSE estimates at AP l for blocks of one chunk.
 
-    Returns (h, h_hat) of shape (n_in_chunk, K, L, N).
+    Returns (h, h_hat) of shape (n_in_chunk, K, N).
     """
     cfg = work.cfg
     plan = work.plan
-    h = np.empty((n_in_chunk, cfg.K, cfg.L, cfg.N), dtype=complex)
+    h = np.empty((n_in_chunk, cfg.K, cfg.N), dtype=complex)
     for k in range(cfg.K):
-        for l in range(cfg.L):
-            rng = _substream(seed, _TAG_CHANNEL, k, l, chunk)
-            z = _complex_normal(rng, (n_in_chunk, cfg.N))
-            h[:, k, l] = z @ work.sqrt_r[k, l].T
+        rng = _substream(seed, _TAG_CHANNEL, k, l, chunk)
+        z = _complex_normal(rng, (n_in_chunk, cfg.N))
+        h[:, k] = z @ work.sqrt_r[k, l].T
     amp = np.sqrt(plan.tau_p * plan.rho_p)
     h_hat = np.empty_like(h)
     for t, users in enumerate(plan.copilot):
         if not users:
             continue
-        for l in range(cfg.L):
-            rng = _substream(seed, _TAG_PILOT_NOISE, t, l, chunk)
-            noise = np.sqrt(cfg.noise_var) * _complex_normal(rng, (n_in_chunk, cfg.N))
-            y = amp * h[:, list(users), l].sum(axis=1) + noise
-            for k in users:
-                h_hat[:, k, l] = y @ work.est[k, l].T
+        rng = _substream(seed, _TAG_PILOT_NOISE, t, l, chunk)
+        noise = np.sqrt(cfg.noise_var) * _complex_normal(rng, (n_in_chunk, cfg.N))
+        y = amp * h[:, list(users)].sum(axis=1) + noise
+        for k in users:
+            h_hat[:, k] = y @ work.est[k, l].T
     return h, h_hat
 
 
@@ -188,5 +179,8 @@ def estimate_channels(instance, plan, stats, seed, n_blocks=1):
     h_hat = np.empty_like(h)
     for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK)):
         stop = min(start + BLOCK_CHUNK, n_blocks)
-        h[start:stop], h_hat[start:stop] = _draw_chunk(work, seed, chunk, stop - start)
+        for l in range(cfg.L):
+            h[start:stop, :, l], h_hat[start:stop, :, l] = _draw_ap(
+                work, seed, chunk, l, stop - start
+            )
     return h, h_hat

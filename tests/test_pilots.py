@@ -3,9 +3,15 @@ import numpy.testing as npt
 import pytest
 
 from sparselsfd import NetworkConfig, generate_network
+from sparselsfd.linalg import hermitian_sqrt
 from sparselsfd.network import correlation_matrix
 from sparselsfd.pilots import (
+    _TAG_CHANNEL,
+    _TAG_PILOT_NOISE,
+    BLOCK_CHUNK,
     PilotPlan,
+    _DrawWork,
+    _substream,
     assign_pilots,
     estimate_channels,
     estimation_stats,
@@ -158,6 +164,57 @@ def test_estimate_channels_prefix_stable():
     h_b, hh_b = estimate_channels(inst, plan, stats, seed=12, n_blocks=230)
     npt.assert_array_equal(h_a, h_b[:100])
     npt.assert_array_equal(hh_a, hh_b[:100])
+
+
+def contaminated_setup():
+    cfg = NetworkConfig(L=3, N=2, K=4, side_m=150.0, gain_offset_db=80.0)
+    inst = generate_network(cfg, seed=13)
+    plan = assign_pilots(inst.beta, 2)
+    return inst, plan, estimation_stats(inst, plan)
+
+
+def test_draw_factors_match_per_link():
+    inst, plan, stats = contaminated_setup()
+    work = _DrawWork(inst, plan, stats)
+    scale = np.sqrt(plan.tau_p * plan.rho_p)
+    for k in range(inst.cfg.K):
+        for l in range(inst.cfg.L):
+            r = inst.R[k, l]
+            npt.assert_allclose(work.sqrt_r[k, l], hermitian_sqrt(r),
+                                rtol=1e-12, atol=1e-12 * np.abs(r).max())
+            est = scale * r @ np.linalg.inv(stats.Psi[k, l])
+            npt.assert_allclose(work.est[k, l], est, rtol=1e-12,
+                                atol=1e-12 * np.abs(est).max())
+
+
+def test_estimate_channels_follow_substreams():
+    # the randomness contract, rebuilt link by link: channel substreams keyed
+    # by (seed, channel tag, UE, AP, chunk), pilot noise by (seed, noise
+    # tag, pilot, AP, chunk), BLOCK_CHUNK blocks per chunk
+    inst, plan, stats = contaminated_setup()
+    cfg = inst.cfg
+    seed, n_blocks = 14, BLOCK_CHUNK + 40
+    h, h_hat = estimate_channels(inst, plan, stats, seed, n_blocks=n_blocks)
+    amp = np.sqrt(plan.tau_p * plan.rho_p)
+
+    def normal(tag, i, l, chunk, size):
+        z = _substream(seed, tag, i, l, chunk).standard_normal((size, cfg.N, 2))
+        return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+
+    for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK)):
+        size = min(BLOCK_CHUNK, n_blocks - start)
+        rows = slice(start, start + size)
+        for l in range(cfg.L):
+            h_ref = [normal(_TAG_CHANNEL, k, l, chunk, size)
+                     @ hermitian_sqrt(inst.R[k, l]).T for k in range(cfg.K)]
+            for k in range(cfg.K):
+                npt.assert_allclose(h[rows, k, l], h_ref[k], rtol=1e-12)
+            for t, users in enumerate(plan.copilot):
+                noise = normal(_TAG_PILOT_NOISE, t, l, chunk, size)
+                y = amp * sum(h_ref[k] for k in users) + np.sqrt(cfg.noise_var) * noise
+                for k in users:
+                    est = amp * inst.R[k, l] @ np.linalg.inv(stats.Psi[k, l])
+                    npt.assert_allclose(h_hat[rows, k, l], y @ est.T, rtol=1e-12)
 
 
 def test_plan_validation():
