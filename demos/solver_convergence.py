@@ -44,8 +44,8 @@ def main():
         res = bcd_solve(problem, SolverOptions(gamma=gam, lam=lam,
                                                max_sweeps=300))
         if lam == 0.0 and gam == 0.0:
-            # whitened least squares: unpenalized optimum is -||target||^2
-            best = -problem.target_sq()
+            # unpenalized optimum is -sum_k bbar_k^H A_k^-1 bbar_k
+            best = -problem.const
         else:
             best = reference_solve(problem, gam, lam, tol=1e-6).objective
         groups = int(np.count_nonzero(np.linalg.norm(snap_zeros(res.a), axis=0)))

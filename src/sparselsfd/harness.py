@@ -85,6 +85,17 @@ class ExperimentConfig:
             raise ConfigError("penalty grids must be nonempty")
         if not 0 < self.tau_p < self.tau_c:
             raise ConfigError("need 0 < tau_p < tau_c")
+        if not self.rho_p_w > 0:
+            raise ConfigError("pilot power rho_p must be positive")
+        if any(n_ap < 1 or n_antennas < 1 for n_ap, n_antennas in self.setups):
+            raise ConfigError("every setup needs L >= 1 and N >= 1")
+        for name in ("lambda_grid", "gamma_grid"):
+            if not all(math.isfinite(v) and v >= 0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be finite and nonnegative")
+        for name in ("setups", "combiners", "lambda_grid", "gamma_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has repeated entries")
 
 
 def paper_config():
@@ -160,13 +171,17 @@ def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _per_ue_se(a, stats, tau_p, tau_c):
-    """SE per UE for weight rows a; all-zero rows contribute zero SE."""
-    out = np.zeros(a.shape[0])
-    for k, row in enumerate(a):
+def _evaluate(cfg, weights, assoc, stats, n_antennas):
+    """Per-UE SE and the EE of decoding weights (K, L) under an association.
+
+    All-zero weight rows contribute zero SE.
+    """
+    se_k = np.zeros(weights.shape[0])
+    for k, row in enumerate(weights):
         if np.any(row):
-            out[k] = se(sinr(row, stats.A[k], stats.b[k]), tau_p, tau_c)
-    return out
+            se_k[k] = se(sinr(row, stats.A[k], stats.b[k]), cfg.tau_p, cfg.tau_c)
+    power = total_power(assoc, stats.p, se_k, cfg.power, n_antennas)
+    return se_k, energy_efficiency(se_k, power, cfg.power.bandwidth_hz)
 
 
 def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam, gam):
@@ -178,10 +193,8 @@ def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam
         result = bcd_solve(problem, replace(cfg.solver, gamma=gam, lam=lam))
         a = snap_zeros(result.a)
         assoc = extract_association(a)
-        se_k = _per_ue_se(a, stats, cfg.tau_p, cfg.tau_c)
-        power = total_power(assoc, stats.p, se_k, cfg.power, n_antennas)
+        se_k, rec.ee = _evaluate(cfg, a, assoc, stats, n_antennas)
         rec.avg_se = float(se_k.mean())
-        rec.ee = energy_efficiency(se_k, power, cfg.power.bandwidth_hz)
         rec.mean_serving = assoc.mean_serving()
         rec.mean_served = assoc.mean_served()
         rec.sweeps = result.sweeps
@@ -204,35 +217,14 @@ def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam
 def _baseline_record(cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas):
     """SE and EE of the optimal (all-serve) and partial decoders."""
     n_ue, n_ap = stats.b.shape
-    o_se = np.array([
-        se(
-            sinr(olsfd_weights(stats.A[k], stats.b[k]), stats.A[k], stats.b[k]),
-            cfg.tau_p, cfg.tau_c,
-        )
-        for k in range(n_ue)
-    ])
-    o_assoc = Association.full(n_ue, n_ap)
-    o_ee = energy_efficiency(
-        o_se,
-        total_power(o_assoc, p, o_se, cfg.power, n_antennas),
-        cfg.power.bandwidth_hz,
-    )
+    o_weights = np.array([olsfd_weights(stats.A[k], stats.b[k]) for k in range(n_ue)])
+    o_se, o_ee = _evaluate(cfg, o_weights, Association.full(n_ue, n_ap), stats,
+                           n_antennas)
     p_assoc = baseline_association(inst.beta, plan)
-    p_se = np.array([
-        se(
-            sinr(
-                plsfd_weights(stats.A[k], stats.b[k], p_assoc.serving[k]),
-                stats.A[k], stats.b[k],
-            ),
-            cfg.tau_p, cfg.tau_c,
-        )
-        for k in range(n_ue)
+    p_weights = np.array([
+        plsfd_weights(stats.A[k], stats.b[k], p_assoc.serving[k]) for k in range(n_ue)
     ])
-    p_ee = energy_efficiency(
-        p_se,
-        total_power(p_assoc, p, p_se, cfg.power, n_antennas),
-        cfg.power.bandwidth_hz,
-    )
+    p_se, p_ee = _evaluate(cfg, p_weights, p_assoc, stats, n_antennas)
     return BaselineRecord(
         setup=setup_name, combiner=comb.value, drop=drop, powers=p,
         olsfd_se=o_se, olsfd_ee=o_ee,

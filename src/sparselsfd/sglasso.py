@@ -1,14 +1,16 @@
 """Sparse-group-lasso design of the decoding weights.
 
-The decoding MSE a^H A a - 2 Re(a^H b) + const is penalized with a group
-l2 term (gamma, one group per AP, across UEs) and an elementwise l1 term
-(lambda) to switch whole APs off and prune per-UE coefficients.  With
-per-UE Cholesky factors A_k = Abar_k^H Abar_k the problem becomes a
-penalized least squares ||bbar - Abar a||^2 + Omega(a), solved by cyclic
-block-coordinate descent over AP groups.  Every group Gram matrix is
-diagonal, so each group subproblem is solved exactly: a soft threshold,
-a group-zero test, and one scalar secular equation solved by Newton's
-method.
+The decoding MSE sum_k a_k^H A_k a_k - 2 Re(a_k^H bbar_k) + const, with
+bbar_k = sqrt(p_k) b_k, is penalized with a group l2 term (gamma, one
+group per AP, across UEs) and an elementwise l1 term (lambda) to switch
+whole APs off and prune per-UE coefficients.  It is solved on the
+statistics themselves by cyclic block-coordinate descent over AP groups,
+keeping q = A a (one row per UE) as the state: the gradient 2 (q - bbar)
+is always at hand, and a group update costs one column of A per UE.
+Coefficient l of UE k couples to no other UE, so every group Gram matrix
+is diagonal, diag(A[:, l, l]), and each group subproblem is solved
+exactly: a soft threshold, a group-zero test, and one scalar secular
+equation solved by Newton's method.
 
 All norms are taken in the real embedding [Re; Im] of the coefficients
 (an exact isometry for the fit and the group l2 term; the l1 term is the
@@ -26,36 +28,30 @@ import scipy.linalg
 from .linalg import NotPositiveDefiniteError
 
 ZERO_SNAP = 1e-12       # coefficients below this modulus snap to exact zero
-_RESID_REFRESH = 64     # sweeps between exact residual recomputations
+_Q_REFRESH = 64         # sweeps between exact recomputations of q = A a
 _NEWTON_MAX = 64        # secular-equation Newton steps before giving up
 
 
 @dataclass(frozen=True)
 class SparseProblem:
-    """Whitened penalized least squares for all UEs.
+    """Quadratic decoding statistics for all UEs.
 
-    chol[k] is the upper-triangular factor with A_k = chol[k]^H chol[k];
-    target[k] solves chol[k]^H target[k] = sqrt(p_k) b_k.  gram[k, l] is
-    the squared norm of column l of chol[k]; the group Gram matrices are
-    exactly diagonal because the per-UE blocks are decoupled.
+    A is the (K, L, L) statistics array, bbar[k] = sqrt(p_k) b_k, and
+    const = sum_k bbar_k^H A_k^-1 bbar_k is minus the unpenalized minimum,
+    so objective + const >= 0.
     """
 
-    chol: np.ndarray     # (K, L, L) complex, upper triangular
-    target: np.ndarray   # (K, L) complex
-    p: np.ndarray        # (K,) transmit powers
-    gram: np.ndarray     # (K, L) real
+    A: np.ndarray        # (K, L, L) complex Hermitian positive definite
+    bbar: np.ndarray     # (K, L) complex
+    const: float
 
     def __post_init__(self):
-        for arr in (self.chol, self.target, self.p, self.gram):
+        for arr in (self.A, self.bbar):
             arr.flags.writeable = False
 
     @property
     def shape(self):
-        return self.target.shape
-
-    def target_sq(self):
-        """||bbar||^2, the constant between the factored and quadratic forms."""
-        return float(np.sum(np.abs(self.target) ** 2))
+        return self.bbar.shape
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class SolverOptions:
 @dataclass
 class SolverResult:
     a: np.ndarray               # (K, L) weights; row k = UE k
-    objective: float            # a^H A a - 2 Re(a^H b) + penalties (real-form l1)
+    objective: float            # a^H A a - 2 Re(a^H bbar) + penalties (real-form l1)
     sweeps: int
     kkt_residual: float
     converged: bool
@@ -85,26 +81,21 @@ class SolverResult:
 
 
 def build_problem(stats):
-    """Factor per-UE statistics into the whitened least-squares form."""
+    """Check each A_k is positive definite and form the scaled linear term."""
     big_a = np.asarray(stats.A)
-    b = np.asarray(stats.b)
-    p = np.asarray(stats.p, dtype=float)
-    n_ue, n_ap = b.shape
-    chol = np.empty_like(big_a)
-    target = np.empty_like(b)
-    for k in range(n_ue):
+    bbar = np.sqrt(np.asarray(stats.p, dtype=float))[:, None] * np.asarray(stats.b)
+    white = np.empty_like(bbar)
+    for k in range(bbar.shape[0]):
         try:
             lower = np.linalg.cholesky(big_a[k])
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"statistics matrix of UE {k} is not positive definite"
             ) from exc
-        chol[k] = lower.conj().T
-        target[k] = scipy.linalg.solve_triangular(
-            lower, np.sqrt(p[k]) * b[k], lower=True
-        )
-    gram = np.sum(np.abs(chol) ** 2, axis=1)
-    return SparseProblem(chol=chol, target=target, p=p.copy(), gram=gram)
+        white[k] = scipy.linalg.solve_triangular(lower, bbar[k], lower=True)
+    # bbar_k^H A_k^-1 bbar_k = ||L_k^-1 bbar_k||^2 with A_k = L_k L_k^H
+    const = float(np.sum(np.abs(white) ** 2))
+    return SparseProblem(A=big_a, bbar=bbar, const=const)
 
 
 def prox_l1(x, mu):
@@ -147,15 +138,18 @@ def _group_core(g, c, gamma, lam):
     """
     u = prox_l1(2.0 * c.real, lam) + 1j * prox_l1(2.0 * c.imag, lam)
     usq = u.real ** 2 + u.imag ** 2
-    if float(np.sum(usq)) <= gamma * gamma:
+    usum = float(np.sum(usq))
+    if usum <= gamma * gamma:
         return np.zeros_like(c)
     if gamma == 0.0:
         return u / (2.0 * g)
     # Newton on 1/||w(t)|| - 1, concave and increasing in t: from t = 0 the
     # iterates rise monotonically to the root, in one step for constant g.
-    # Early steps can grow by orders of magnitude when gamma << ||u||, so
-    # stop at the root's sign change or once a step no longer moves t.
-    t = 0.0
+    # The first step is taken in closed form, with gamma cancelled, since
+    # ||w(0)|| = ||u|| / gamma overflows when gamma << ||u||.  Early steps
+    # can grow by orders of magnitude then, so stop at the root's sign
+    # change or once a step no longer moves t.
+    t = usum * (np.sqrt(usum) - gamma) / (2.0 * float(np.sum(g * usq)))
     for _ in range(_NEWTON_MAX):
         d = 2.0 * g * t + gamma
         h = float(np.sum(usq / d ** 2))  # ||w(t)||^2
@@ -171,29 +165,36 @@ def _group_core(g, c, gamma, lam):
     return u * (t / (2.0 * g * t + gamma))
 
 
-def _apply_factors(chol, a):
-    """Abar a per UE: (K, L) rows of chol[k] @ a[k]."""
-    return np.einsum("krl,kl->kr", chol, a)
+def _times_a(big_a, a):
+    """A a per UE: (K, L) rows of A[k] @ a[k]."""
+    return np.einsum("krl,kl->kr", big_a, a)
 
 
 def _penalty(a, gamma, lam):
     return gamma * float(np.sum(np.linalg.norm(a, axis=0))) + lam * _l1_realform(a)
 
 
+def _objective(a, q, bbar, gamma, lam):
+    """Re a^H q - 2 Re a^H bbar + Omega(a), with q = A a."""
+    return (float(np.vdot(a, q).real) - 2.0 * float(np.vdot(a, bbar).real)
+            + _penalty(a, gamma, lam))
+
+
 def bcd_solve(problem, options=SolverOptions()):
     """Cyclic block-coordinate descent over AP groups.
 
-    Sweeps stop when the relative decrease of the factored objective
-    ||target - Abar a||^2 + Omega(a) falls below tol_rel, or max_sweeps is
-    reached (converged=False).  The reported objective and trace are in
-    the quadratic form a^H A a - 2 Re(a^H b) + Omega(a).
+    Sweeps stop when the relative decrease of objective + const (zero at
+    the unpenalized optimum) falls below tol_rel, or max_sweeps is reached
+    (converged=False).  The reported objective and trace are
+    a^H A a - 2 Re(a^H bbar) + Omega(a).
     """
+    big_a, bbar = problem.A, problem.bbar
     n_ue, n_ap = problem.shape
     a = np.zeros((n_ue, n_ap), dtype=complex)
-    resid = problem.target.copy()
-    const = problem.target_sq()
-    f_prev = const  # factored objective at a = 0
-    trace = [f_prev - const]
+    q = np.zeros((n_ue, n_ap), dtype=complex)   # A a
+    diag = np.real(np.diagonal(big_a, axis1=1, axis2=2))
+    f_prev = problem.const  # objective + const at a = 0
+    trace = [0.0]
     converged = False
     sweeps = 0
     # overflow in a group solve must fail the cell, not return garbage
@@ -201,30 +202,27 @@ def bcd_solve(problem, options=SolverOptions()):
         for sweep in range(1, options.max_sweeps + 1):
             sweeps = sweep
             for l in range(n_ap):
-                cols = problem.chol[:, :, l]
+                g = diag[:, l]
                 al = a[:, l]
-                # c = cols^H r_l with r_l = resid + cols * al; diagonal Gram
-                c = np.einsum("kr,kr->k", cols.conj(), resid) + problem.gram[:, l] * al
-                new = _group_core(problem.gram[:, l], c, options.gamma, options.lam)
+                # correlation with the partial residual: group l's own term
+                # taken back out of q
+                c = bbar[:, l] - q[:, l] + g * al
+                new = _group_core(g, c, options.gamma, options.lam)
                 delta = new - al
                 if np.any(delta):
                     a[:, l] = new
-                    resid -= cols * delta[:, None]
-            if sweep % _RESID_REFRESH == 0:
-                resid = problem.target - _apply_factors(problem.chol, a)
-            f_cur = float(np.sum(np.abs(resid) ** 2)) + _penalty(
-                a, options.gamma, options.lam
-            )
-            trace.append(f_cur - const)
+                    q += big_a[:, :, l] * delta[:, None]
+            if sweep % _Q_REFRESH == 0:
+                q = _times_a(big_a, a)
+            obj = _objective(a, q, bbar, options.gamma, options.lam)
+            trace.append(obj)
+            f_cur = obj + problem.const
             rel = (f_prev - f_cur) / max(abs(f_prev), 1e-30)
             f_prev = f_cur
             if rel < options.tol_rel:
                 converged = True
                 break
-    resid = problem.target - _apply_factors(problem.chol, a)
-    objective = float(np.sum(np.abs(resid) ** 2)) - const + _penalty(
-        a, options.gamma, options.lam
-    )
+    objective = _objective(a, _times_a(big_a, a), bbar, options.gamma, options.lam)
     return SolverResult(
         a=a,
         objective=objective,
@@ -238,18 +236,16 @@ def bcd_solve(problem, options=SolverOptions()):
 def kkt_residual(a, problem, gamma, lam):
     """Max group violation of the first-order optimality conditions.
 
-    Zero groups: (||soft(-g_l, lam)||_2 - gamma)+.  Nonzero groups: the
+    With the gradient g_l = 2 (A a - bbar)[:, l] of group l: zero groups
+    violate by (||soft(-g_l, lam)||_2 - gamma)+; nonzero groups by the
     smallest attainable inf-norm of g_l + gamma u + lam s over valid
     subgradients u, s of the penalties at the current point.
     """
     a = np.asarray(a)
-    n_ap = a.shape[1]
-    resid = problem.target - _apply_factors(problem.chol, a)
+    grad = 2.0 * (_times_a(problem.A, a) - problem.bbar)
     worst = 0.0
-    for l in range(n_ap):
-        cols = problem.chol[:, :, l]
-        grad = -2.0 * np.einsum("kr,kr->k", cols.conj(), resid)
-        grad_r = np.concatenate([grad.real, grad.imag])
+    for l in range(a.shape[1]):
+        grad_r = np.concatenate([grad[:, l].real, grad[:, l].imag])
         al_r = np.concatenate([a[:, l].real, a[:, l].imag])
         if not np.any(al_r):
             viol = max(np.linalg.norm(prox_l1(-grad_r, lam)) - gamma, 0.0)
@@ -267,51 +263,28 @@ def kkt_residual(a, problem, gamma, lam):
     return float(worst)
 
 
-def _power_lmax(chol, iters=500, rtol=1e-10):
-    """Largest eigenvalue of A = Abar^H Abar by power iteration (inflated 2%)."""
-    n_ue, n_ap = chol.shape[0], chol.shape[2]
-    rng = np.random.default_rng(np.random.SeedSequence([0x1A57]))
-    x = rng.standard_normal((n_ue, n_ap)) + 1j * rng.standard_normal((n_ue, n_ap))
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = np.einsum("krl,kl->kr", chol, x)
-        z = np.einsum("krl,kr->kl", chol.conj(), y)
-        new = float(np.real(np.vdot(x, z)))
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 1e-30
-        x = z / nz
-        if abs(new - est) <= rtol * max(new, 1e-30):
-            est = new
-            break
-        est = new
-    return est * 1.02
-
-
 def reference_solve(problem, gamma, lam, tol, max_iter=500_000):
     """Plain full-vector proximal gradient with a fixed safe step.
 
     Independent cross-check for bcd_solve: step 1/(2 lmax(A)), prox of the
     full penalty applied groupwise plus elementwise, stopping when the
-    relative objective decrease drops below tol/100.  Simple on purpose;
-    slow on badly conditioned problems.
+    relative decrease of objective + const drops below tol/100.  Simple on
+    purpose; slow on badly conditioned problems.
     """
     if gamma < 0 or lam < 0 or tol <= 0:
         raise ValueError("penalties must be nonnegative and tol positive")
-    n_ue, n_ap = problem.shape
-    step = 1.0 / (2.0 * _power_lmax(problem.chol))
-    a = np.zeros((n_ue, n_ap), dtype=complex)
-    resid = problem.target.copy()
-    const = problem.target_sq()
-    f_prev = const
-    trace = [f_prev - const]
+    big_a, bbar = problem.A, problem.bbar
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(big_a)[:, -1].max())
+    a = np.zeros(problem.shape, dtype=complex)
+    q = np.zeros(problem.shape, dtype=complex)   # A a
+    f_prev = problem.const
+    trace = [0.0]
     converged = False
     iters = 0
     threshold = tol / 100.0
     for it in range(1, max_iter + 1):
         iters = it
-        grad = -2.0 * np.einsum("krl,kr->kl", problem.chol.conj(), resid)
+        grad = 2.0 * (q - bbar)
         z = a - step * grad
         re = np.sign(z.real) * np.maximum(np.abs(z.real) - step * lam, 0.0)
         im = np.sign(z.imag) * np.maximum(np.abs(z.imag) - step * lam, 0.0)
@@ -319,18 +292,18 @@ def reference_solve(problem, gamma, lam, tol, max_iter=500_000):
         nrm = np.sqrt(np.sum(re * re + im * im, axis=0))
         scale = np.where(nrm > step * gamma, 1.0 - step * gamma / np.maximum(nrm, 1e-300), 0.0)
         a = y * scale
-        resid = problem.target - _apply_factors(problem.chol, a)
-        f_cur = float(np.sum(np.abs(resid) ** 2)) + _penalty(a, gamma, lam)
-        trace.append(f_cur - const)
+        q = _times_a(big_a, a)
+        obj = _objective(a, q, bbar, gamma, lam)
+        trace.append(obj)
+        f_cur = obj + problem.const
         rel = (f_prev - f_cur) / max(abs(f_prev), 1e-30)
         f_prev = f_cur
         if rel < threshold:
             converged = True
             break
-    objective = f_prev - const
     return SolverResult(
         a=a,
-        objective=objective,
+        objective=trace[-1],
         sweeps=iters,
         kkt_residual=kkt_residual(a, problem, gamma, lam),
         converged=converged,

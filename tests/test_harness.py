@@ -364,6 +364,27 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", [
+    "setups = 0x4",
+    "setups = 10x0",
+    "pilot.rho_p = 0",
+    "lambda_grid = -1",
+    "gamma_grid = nan",
+    "gamma_grid = inf",
+    "setups = 10x2, 10x2",
+    "combiner = mr, mr",
+    "lambda_grid = 1e-2, 1e-2",
+])
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    assert main(["run", "--config", str(cfg_path), "--desk-scale"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err
+
+
 def run_cli_with_gain(tmp_path, gain_offset_db):
     cfg_path = tmp_path / "fail.cfg"
     cfg_path.write_text(MINI_CFG_TEXT + f"network.gain_offset_db = {gain_offset_db}\n")

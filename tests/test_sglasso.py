@@ -21,26 +21,23 @@ from sparselsfd.sglasso import (
 from sparselsfd.uplink import LsfdStatistics
 
 
-def tiny_problem(chol, target, p=None):
-    chol = np.asarray(chol, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if p is None:
-        p = np.ones(chol.shape[0])
-    gram = np.sum(np.abs(chol) ** 2, axis=1)
-    return SparseProblem(chol=chol, target=target, p=np.asarray(p, float),
-                         gram=gram)
+def tiny_problem(big_a, bbar):
+    big_a = np.asarray(big_a, dtype=complex)
+    bbar = np.asarray(bbar, dtype=complex)
+    const = sum(np.real(np.vdot(bbar[k], np.linalg.solve(big_a[k], bbar[k])))
+                for k in range(bbar.shape[0]))
+    return SparseProblem(A=big_a, bbar=bbar, const=float(const))
 
 
 def objective(problem, a, gamma, lam):
-    fit = 0.0
-    quad = 0.0
-    for k in range(problem.shape[0]):
-        r = problem.target[k] - problem.chol[k] @ a[k]
-        fit += np.real(np.vdot(r, r))
-        quad += np.real(np.vdot(problem.target[k], problem.target[k]))
+    quad = sum(
+        np.real(np.vdot(a[k], problem.A[k] @ a[k]))
+        - 2.0 * np.real(np.vdot(a[k], problem.bbar[k]))
+        for k in range(problem.shape[0])
+    )
     pen = gamma * np.sum(np.linalg.norm(a, axis=0))
     pen += lam * float(np.sum(np.abs(a.real)) + np.sum(np.abs(a.imag)))
-    return fit - quad + pen
+    return quad + pen
 
 
 # ------------------------------------------------------------ prox operators
@@ -125,57 +122,25 @@ def test_build_problem_identity_blocks():
     b = complex_normal(np.random.default_rng(2), (n_ue, n_ap))
     stats = LsfdStatistics(A=big_a, b=b, p=np.ones(n_ue))
     problem = build_problem(stats)
-    npt.assert_allclose(problem.chol, big_a, atol=1e-14)
-    npt.assert_allclose(problem.target, b, rtol=1e-14)
-    npt.assert_allclose(problem.gram, np.ones((n_ue, n_ap)))
+    assert np.shares_memory(problem.A, stats.A)
+    npt.assert_array_equal(problem.bbar, b)
+    npt.assert_allclose(problem.const, np.sum(np.abs(b) ** 2), rtol=1e-14)
 
 
-def test_build_problem_factor_identity():
-    rng = np.random.default_rng(3)
+def test_build_problem_const_is_unpenalized_minimum():
+    rng = np.random.default_rng(4)
     stats = random_statistics(rng, n_ue=3, n_ap=5)
     problem = build_problem(stats)
-    for k in range(3):
-        f = problem.chol[k]
-        assert np.allclose(np.tril(f, -1), 0.0)
-        npt.assert_allclose(f.conj().T @ f, stats.A[k], rtol=1e-10)
-        # Abar^H bbar recovers the sqrt(p)-scaled linear term
-        npt.assert_allclose(f.conj().T @ problem.target[k],
-                            np.sqrt(stats.p[k]) * stats.b[k], rtol=1e-10)
-
-
-def test_build_problem_objective_identity():
-    rng = np.random.default_rng(4)
-    stats = random_statistics(rng, n_ue=2, n_ap=4)
-    problem = build_problem(stats)
     b_scaled = np.sqrt(stats.p)[:, None] * stats.b
+    npt.assert_allclose(problem.bbar, b_scaled, rtol=1e-15)
     const = sum(
         np.real(np.vdot(b_scaled[k], np.linalg.solve(stats.A[k], b_scaled[k])))
-        for k in range(2)
+        for k in range(3)
     )
-    for _ in range(100):
-        a = complex_normal(rng, (2, 4))
-        lhs = sum(
-            np.real(np.vdot(problem.target[k] - problem.chol[k] @ a[k],
-                            problem.target[k] - problem.chol[k] @ a[k]))
-            for k in range(2)
-        ) - const
-        rhs = sum(
-            np.real(np.vdot(a[k], stats.A[k] @ a[k]))
-            - 2.0 * np.real(np.vdot(a[k], b_scaled[k]))
-            for k in range(2)
-        )
-        npt.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
-
-
-def test_build_problem_group_layout():
-    # group l gathers coefficient l of every UE block: per-UE factors are
-    # block diagonal, so the group Gram is the per-column squared norms
-    rng = np.random.default_rng(5)
-    stats = random_statistics(rng, n_ue=2, n_ap=3)
-    problem = build_problem(stats)
-    for l in range(3):
-        npt.assert_allclose(problem.gram[:, l],
-                            np.sum(np.abs(problem.chol[:, :, l]) ** 2, axis=1))
+    npt.assert_allclose(problem.const, const, rtol=1e-12)
+    res = bcd_solve(problem, SolverOptions(gamma=0.0, lam=0.0, tol_rel=1e-14))
+    npt.assert_allclose(res.objective, -problem.const, rtol=1e-10)
+    npt.assert_allclose(objective(problem, res.a, 0.0, 0.0), -const, rtol=1e-10)
 
 
 def test_build_problem_rejects_indefinite():
@@ -190,36 +155,36 @@ def test_build_problem_rejects_indefinite():
 
 # ----------------------------------------------------------------- group solve
 
-def group_corr(problem, l, resid_l):
-    """Correlation of group l's columns with the partial residual."""
-    return np.einsum("kr,kr->k", problem.chol[:, :, l].conj(), resid_l)
+def group_corr(problem, a, l):
+    """Group l's correlation with the partial residual: bbar - A a + A_ll a."""
+    q = np.einsum("krm,km->kr", problem.A, a)
+    return problem.bbar[:, l] - q[:, l] + problem.A[:, l, l].real * a[:, l]
 
 
 def test_group_core_unpenalized_identity_gram():
     rng = np.random.default_rng(7)
-    chol = np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4)).copy()
-    target = complex_normal(rng, (3, 4))
-    problem = tiny_problem(chol, target)
+    big_a = np.broadcast_to(np.eye(4, dtype=complex), (3, 4, 4)).copy()
+    bbar = complex_normal(rng, (3, 4))
+    problem = tiny_problem(big_a, bbar)
+    a = np.zeros((3, 4), complex)
     for l in range(4):
-        out = _group_core(problem.gram[:, l], group_corr(problem, l, target),
-                          0.0, 0.0)
-        expected = np.einsum("kr,kr->k", chol[:, :, l].conj(), target)
-        npt.assert_allclose(out, expected, atol=1e-8)
+        out = _group_core(np.ones(3), group_corr(problem, a, l), 0.0, 0.0)
+        npt.assert_allclose(out, bbar[:, l], atol=1e-8)
 
 
 def test_group_core_zero_threshold():
-    # if ||prox_l1(2 Abar^T r, lam)|| <= gamma the minimizer is the zero group
+    # if ||prox_l1(2 c, lam)|| <= gamma the minimizer is the zero group
     rng = np.random.default_rng(8)
     for _ in range(20):
-        chol = np.zeros((2, 1, 1), complex)
-        chol[:, 0, 0] = rng.uniform(0.5, 2.0, 2)
-        target = complex_normal(rng, (2, 1)) * 0.1
-        problem = tiny_problem(chol, target)
-        c2 = 2.0 * np.einsum("kr,kr->k", chol[:, :, 0].conj(), target)
+        scale = rng.uniform(0.5, 2.0, 2)
+        bbar = scale[:, None] * complex_normal(rng, (2, 1)) * 0.1
+        problem = tiny_problem((scale ** 2)[:, None, None], bbar)
+        c2 = 2.0 * bbar[:, 0]
         c2_real = np.concatenate([c2.real, c2.imag])
         lam = rng.uniform(0.0, 0.3)
         gamma = np.linalg.norm(prox_l1(c2_real, lam)) * 1.001
-        out = _group_core(problem.gram[:, 0], group_corr(problem, 0, target),
+        out = _group_core(scale ** 2,
+                          group_corr(problem, np.zeros((2, 1), complex), 0),
                           gamma, lam)
         npt.assert_array_equal(out, np.zeros(2, complex))
 
@@ -227,8 +192,9 @@ def test_group_core_zero_threshold():
 def test_group_core_scalar_soft_threshold():
     # minimize a^2 - 4a + |a|: optimum (4 - 1)/2 = 1.5
     problem = tiny_problem([[[1.0]]], [[2.0]])
-    out = _group_core(problem.gram[:, 0],
-                      group_corr(problem, 0, problem.target), 0.0, 1.0)
+    out = _group_core(np.ones(1),
+                      group_corr(problem, np.zeros((1, 1), complex), 0),
+                      0.0, 1.0)
     npt.assert_allclose(out, [1.5 + 0.0j], rtol=1e-8)
 
 
@@ -262,6 +228,17 @@ def test_group_core_is_exact_minimizer():
         npt.assert_allclose(_group_core(np.full(n, g[0]), c, gamma, lam),
                             u * shrink / (2.0 * g[0]),
                             rtol=1e-12, atol=1e-14 * np.abs(u).max() / g[0])
+
+
+def test_group_core_tiny_gamma():
+    # gamma so small that ||u|| / gamma overflows: the minimizer is the
+    # gamma = 0 one to rounding, with no overflow or division by zero
+    g = np.array([0.5, 2.0, 7.0])
+    c = np.array([-0.03 + 0.01j, 0.2 - 0.1j, 1e-3j])
+    for gamma in (1e-150, 1e-200, 1e-272, 5e-324):
+        with np.errstate(all="raise"):
+            out = _group_core(g, c, gamma, 0.0)
+        npt.assert_allclose(out, c / g, rtol=1e-14)
 
 
 # ------------------------------------------------------------------ bcd_solve
