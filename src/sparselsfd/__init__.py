@@ -20,8 +20,6 @@ from .harness import (
 from .linalg import NotPositiveDefiniteError, solve_hermitian_pd
 from .lsfd import (
     baseline_association,
-    mmse_weights,
-    mse,
     olsfd_weights,
     plsfd_weights,
     se,
@@ -52,7 +50,6 @@ from .uplink import (
     LsfdStatistics,
     estimate_lsfd_statistics,
     lmmse_combiner,
-    mr_combiner,
 )
 
 __version__ = "0.1.0"
@@ -87,9 +84,6 @@ __all__ = [
     "kkt_residual",
     "lmmse_combiner",
     "load_config",
-    "mmse_weights",
-    "mr_combiner",
-    "mse",
     "olsfd_weights",
     "paper_config",
     "plsfd_weights",

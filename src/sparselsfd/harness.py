@@ -47,9 +47,9 @@ CSV_HEADER = (
     "mean_serving_aps,mean_served_ues,solver_sweeps,kkt_residual,wall_ms"
 )
 
-# what a drop or a cell records as its failure instead of raising: numpy
+# what a drop or a cell records as its failure instead of raising: float
 # overflow, non-finite or invalid statistics, and failed factorizations
-_FAILURES = (FloatingPointError, ValueError, np.linalg.LinAlgError)
+_FAILURES = (FloatingPointError, OverflowError, ValueError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -237,27 +237,33 @@ def _run_drop(cfg, setup, drop, stats_workers):
     n_ap, n_antennas = setup
     setup_name = f"L{n_ap}N{n_antennas}"
     net_cfg = replace(cfg.network, L=n_ap, N=n_antennas)
-    inst = generate_network(net_cfg, cfg.seed + drop)
-    plan = assign_pilots(inst.beta, cfg.tau_p, rho_p=cfg.rho_p_w, tau_c=cfg.tau_c)
-    est = estimation_stats(inst, plan)
-    full = [np.arange(n_ap)] * net_cfg.K
-    p = fractional_power(inst.beta, full, cfg.power.p_max_w, cfg.power.theta)
+    p = drop_error = None
+    try:
+        inst = generate_network(net_cfg, cfg.seed + drop)
+        plan = assign_pilots(inst.beta, cfg.tau_p, rho_p=cfg.rho_p_w, tau_c=cfg.tau_c)
+        est = estimation_stats(inst, plan)
+        full = [np.arange(n_ap)] * net_cfg.K
+        p = fractional_power(inst.beta, full, cfg.power.p_max_w, cfg.power.theta)
+    except _FAILURES as exc:
+        drop_error = _describe(exc)
     baselines = []
     records = []
     for comb in cfg.combiners:
-        try:
-            stats = estimate_lsfd_statistics(
-                inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
-                n_workers=stats_workers,
-            )
-            if not (np.all(np.isfinite(stats.A)) and np.all(np.isfinite(stats.b))):
-                raise FloatingPointError("LSFD statistics are not finite")
-            base = _baseline_record(
-                cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas,
-            )
-        except _FAILURES as exc:
-            base = BaselineRecord(setup=setup_name, combiner=comb.value,
-                                  drop=drop, powers=p, error=_describe(exc))
+        base = BaselineRecord(setup=setup_name, combiner=comb.value, drop=drop,
+                              powers=p, error=drop_error)
+        if drop_error is None:
+            try:
+                stats = estimate_lsfd_statistics(
+                    inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
+                    n_workers=stats_workers,
+                )
+                if not (np.all(np.isfinite(stats.A)) and np.all(np.isfinite(stats.b))):
+                    raise FloatingPointError("LSFD statistics are not finite")
+                base = _baseline_record(
+                    cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas,
+                )
+            except _FAILURES as exc:
+                base.error = _describe(exc)
         baselines.append(base)
         error = base.error
         if error is None:
@@ -266,7 +272,7 @@ def _run_drop(cfg, setup, drop, stats_workers):
             except _FAILURES as exc:
                 error = _describe(exc)
         if error is not None:
-            # statistics unusable: mark every grid cell failed, keep going
+            # drop or statistics unusable: mark every grid cell failed, keep going
             for lam in cfg.lambda_grid:
                 for gam in cfg.gamma_grid:
                     records.append(RunRecord(

@@ -19,11 +19,11 @@ def herm(x):
     return np.conj(np.swapaxes(x, -2, -1))
 
 
-def solve_hermitian_pd(m, rhs, pivot_rtol=PIVOT_RTOL):
+def solve_hermitian_pd(m, rhs):
     """Solve m @ x = rhs for Hermitian positive definite m via Cholesky.
 
     Raises NotPositiveDefiniteError if the factorization fails or any
-    pivot falls below pivot_rtol times the largest diagonal entry.
+    pivot falls below PIVOT_RTOL times the largest diagonal entry.
     """
     m = np.asarray(m)
     try:
@@ -31,9 +31,9 @@ def solve_hermitian_pd(m, rhs, pivot_rtol=PIVOT_RTOL):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("matrix is not positive definite") from exc
     pivots = np.abs(np.diagonal(c)) ** 2
-    if pivots.min() < pivot_rtol * np.real(np.diagonal(m)).max():
+    if pivots.min() < PIVOT_RTOL * np.real(np.diagonal(m)).max():
         raise NotPositiveDefiniteError(
-            f"pivot {pivots.min():.3e} below {pivot_rtol:g} of max diagonal"
+            f"pivot {pivots.min():.3e} below {PIVOT_RTOL:g} of max diagonal"
         )
     y = scipy.linalg.solve_triangular(c, rhs, lower=True)
     return scipy.linalg.solve_triangular(c.conj().T, y, lower=False)

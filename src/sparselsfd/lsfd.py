@@ -60,23 +60,6 @@ def plsfd_weights(big_a, b, subset):
     return a
 
 
-def mse(a, big_a, b_scaled, p_k):
-    """Decoding mean-square error a^H A a - 2 Re(a^H b_scaled) + p_k.
-
-    b_scaled is sqrt(p_k) times the statistics vector b_k, i.e. the
-    right-hand side of the normal equations; the unconstrained minimizer
-    is A^-1 b_scaled with value p_k - b_scaled^H A^-1 b_scaled.
-    """
-    a = np.asarray(a)
-    quad = np.real(np.vdot(a, big_a @ a))
-    return quad - 2.0 * np.real(np.vdot(a, b_scaled)) + p_k
-
-
-def mmse_weights(big_a, b, p_k):
-    """MSE-optimal weights sqrt(p_k) A^-1 b (colinear with olsfd_weights)."""
-    return np.sqrt(p_k) * solve_hermitian_pd(big_a, np.asarray(b))
-
-
 def baseline_association(beta, plan):
     """Heuristic AP-UE association used by the partial decoder.
 

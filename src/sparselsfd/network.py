@@ -9,9 +9,11 @@ Gaussian local-scattering profile around the geometric azimuth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .linalg import herm
 
 # log-distance pathloss in dB: PATHLOSS_A + PATHLOSS_B * log10(d / 1 m)
 PATHLOSS_A = -30.5
@@ -46,6 +48,9 @@ class NetworkConfig:
     gain_offset_db: float = 0.0
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"network parameters must be finite: {', '.join(bad)}")
         if min(self.L, self.N, self.K) <= 0:
             raise ValueError("L, N, K must be positive")
         if self.side_m <= 0 or self.ap_height_m < 0:
@@ -102,28 +107,31 @@ def correlation_matrix(beta, nominal_angle, asd_rad, n_antennas, spacing_wl):
     """Spatial correlation for a uniform linear array, Gaussian local scattering.
 
     Entry (m, n) is beta * exp(j 2 pi spacing (m-n) sin(phi))
-    * exp(-(asd 2 pi spacing (m-n) cos(phi))^2 / 2).
+    * exp(-(asd 2 pi spacing (m-n) cos(phi))^2 / 2).  beta and phi are
+    scalars or arrays of one shape S; the result is S + (N, N).
     """
     if n_antennas <= 0:
         raise ValueError("n_antennas must be positive")
-    if beta <= 0 or asd_rad < 0:
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0) or asd_rad < 0:
         raise ValueError("beta must be positive and asd_rad nonnegative")
+    phi = np.asarray(nominal_angle, dtype=float)[..., None, None]
     idx = np.arange(n_antennas)
     diff = idx[:, None] - idx[None, :]
     arg = 2.0 * np.pi * spacing_wl * diff
-    r = beta * np.exp(1j * arg * np.sin(nominal_angle))
-    r = r * np.exp(-0.5 * (asd_rad * arg * np.cos(nominal_angle)) ** 2)
+    r = beta[..., None, None] * np.exp(1j * arg * np.sin(phi))
+    r = r * np.exp(-0.5 * (asd_rad * arg * np.cos(phi)) ** 2)
     return _psd_repair(r, beta)
 
 
 def _psd_repair(r, beta):
-    """Clip eigenvalues below -PSD_EIG_RTOL * beta to zero and re-symmetrize."""
-    w = np.linalg.eigvalsh(r)
-    if w[0] >= -PSD_EIG_RTOL * beta:
-        return r
-    w, v = np.linalg.eigh(r)
-    r = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return 0.5 * (r + r.conj().T)
+    """Clip eigenvalues below -PSD_EIG_RTOL * beta to zero, per matrix of a stack."""
+    bad = np.linalg.eigvalsh(r)[..., 0] < -PSD_EIG_RTOL * beta
+    if np.any(bad):
+        w, v = np.linalg.eigh(r[bad])
+        fixed = (v * np.clip(w, 0.0, None)[..., None, :]) @ herm(v)
+        r[bad] = 0.5 * (fixed + herm(fixed))
+    return r
 
 
 def channel_statistics(cfg, ap_pos, ue_pos, shadow_db):
@@ -132,19 +140,14 @@ def channel_statistics(cfg, ap_pos, ue_pos, shadow_db):
     shadow_db is the (K, L) lognormal shadowing realization in dB; exposed
     separately so translation invariance can be checked with fixed shadowing.
     """
-    asd_rad = np.deg2rad(cfg.asd_deg)
-    beta = np.empty((cfg.K, cfg.L))
-    big_r = np.empty((cfg.K, cfg.L, cfg.N, cfg.N), dtype=complex)
-    for k in range(cfg.K):
-        for l in range(cfg.L):
-            d2 = min_image_offset(ue_pos[k], ap_pos[l], cfg.side_m)
-            d3 = np.sqrt(d2 @ d2 + cfg.ap_height_m**2)
-            gain_db = pathloss_db(d3) + shadow_db[k, l] + cfg.gain_offset_db
-            beta[k, l] = 10.0 ** (gain_db / 10.0)
-            angle = np.arctan2(d2[1], d2[0])
-            big_r[k, l] = correlation_matrix(
-                beta[k, l], angle, asd_rad, cfg.N, cfg.antenna_spacing_wl
-            )
+    ue, ap = ue_pos[:, None], ap_pos[None, :]  # broadcast to (K, L, 2)
+    dist = wrap_distance(ue, ap, cfg.side_m, cfg.ap_height_m)
+    beta = 10.0 ** ((pathloss_db(dist) + shadow_db + cfg.gain_offset_db) / 10.0)
+    d2 = min_image_offset(ue, ap, cfg.side_m)
+    angle = np.arctan2(d2[..., 1], d2[..., 0])
+    big_r = correlation_matrix(
+        beta, angle, np.deg2rad(cfg.asd_deg), cfg.N, cfg.antenna_spacing_wl
+    )
     return beta, big_r
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_sqrt
+from .linalg import herm, hermitian_sqrt
 
 # number of coherence blocks drawn per RNG substream; fixed so that results
 # are independent of how block ranges are split across workers
@@ -106,16 +106,11 @@ def estimation_stats(instance, plan):
     scale = plan.tau_p * plan.rho_p
     eye = cfg.noise_var * np.eye(cfg.N)
     # Psi depends only on (pilot, AP); computed once per pilot then spread
-    psi_t = np.empty((plan.tau_p, cfg.L, cfg.N, cfg.N), dtype=complex)
-    for t, users in enumerate(plan.copilot):
-        psi_t[t] = scale * instance.R[list(users)].sum(axis=0) + eye
-    psi = psi_t[plan.assignment]
-    big_b = np.empty_like(instance.R)
-    for k in range(cfg.K):
-        for l in range(cfg.L):
-            r = instance.R[k, l]
-            big_b[k, l] = scale * r @ np.linalg.solve(psi[k, l], r)
-    big_b = 0.5 * (big_b + np.conj(np.swapaxes(big_b, -2, -1)))
+    psi = np.stack([
+        scale * instance.R[list(users)].sum(axis=0) + eye for users in plan.copilot
+    ])[plan.assignment]
+    big_b = scale * instance.R @ np.linalg.solve(psi, instance.R)
+    big_b = 0.5 * (big_b + herm(big_b))
     return EstimationStats(Psi=psi, B=big_b, C=instance.R - big_b)
 
 

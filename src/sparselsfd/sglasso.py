@@ -106,26 +106,6 @@ def prox_l1(x, mu):
     return np.sign(x) * np.maximum(np.abs(x) - mu, 0.0)
 
 
-def prox_l2(x, mu):
-    """Block shrinkage: scale x to norm (||x|| - mu)+, zero inside the ball."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if nrm <= mu:
-        return np.zeros_like(x)
-    return x * (1.0 - mu / nrm)
-
-
-def prox_composite(x, mu, gamma, lam):
-    """Prox of mu*(gamma ||.||_2 + lam ||.||_1): l2 shrinkage after soft threshold."""
-    return prox_l2(prox_l1(x, mu * lam), mu * gamma)
-
-
-def _l1_realform(a):
-    return float(np.sum(np.abs(a.real)) + np.sum(np.abs(a.imag)))
-
-
 def _group_core(g, c, gamma, lam):
     """Exact minimizer of one group subproblem.
 
@@ -171,7 +151,8 @@ def _times_a(big_a, a):
 
 
 def _penalty(a, gamma, lam):
-    return gamma * float(np.sum(np.linalg.norm(a, axis=0))) + lam * _l1_realform(a)
+    l1 = float(np.sum(np.abs(a.real)) + np.sum(np.abs(a.imag)))  # real form
+    return gamma * float(np.sum(np.linalg.norm(a, axis=0))) + lam * l1
 
 
 def _objective(a, q, bbar, gamma, lam):
@@ -239,28 +220,22 @@ def kkt_residual(a, problem, gamma, lam):
     With the gradient g_l = 2 (A a - bbar)[:, l] of group l: zero groups
     violate by (||soft(-g_l, lam)||_2 - gamma)+; nonzero groups by the
     smallest attainable inf-norm of g_l + gamma u + lam s over valid
-    subgradients u, s of the penalties at the current point.
+    subgradients u, s of the penalties at the current point.  All groups
+    are checked at once in the real embedding, one (2K,) column per group.
     """
     a = np.asarray(a)
     grad = 2.0 * (_times_a(problem.A, a) - problem.bbar)
-    worst = 0.0
-    for l in range(a.shape[1]):
-        grad_r = np.concatenate([grad[:, l].real, grad[:, l].imag])
-        al_r = np.concatenate([a[:, l].real, a[:, l].imag])
-        if not np.any(al_r):
-            viol = max(np.linalg.norm(prox_l1(-grad_r, lam)) - gamma, 0.0)
-        else:
-            u = al_r / np.linalg.norm(al_r)
-            w = grad_r + gamma * u
-            on = al_r != 0
-            per_coord = np.where(
-                on,
-                np.abs(w + lam * np.sign(al_r)),
-                np.maximum(np.abs(w) - lam, 0.0),
-            )
-            viol = float(per_coord.max())
-        worst = max(worst, viol)
-    return float(worst)
+    grad_r = np.concatenate([grad.real, grad.imag])
+    a_r = np.concatenate([a.real, a.imag])
+    norm = np.linalg.norm(a_r, axis=0)
+    zero = norm == 0.0
+    w = grad_r + gamma * (a_r / np.where(zero, 1.0, norm))
+    per_coord = np.where(
+        a_r != 0, np.abs(w + lam * np.sign(a_r)), np.maximum(np.abs(w) - lam, 0.0)
+    )
+    shrunk = np.linalg.norm(np.maximum(np.abs(grad_r) - lam, 0.0), axis=0)
+    viol = np.where(zero, np.maximum(shrunk - gamma, 0.0), per_coord.max(axis=0))
+    return float(viol.max())
 
 
 def reference_solve(problem, gamma, lam, tol, max_iter=500_000):
@@ -286,12 +261,10 @@ def reference_solve(problem, gamma, lam, tol, max_iter=500_000):
         iters = it
         grad = 2.0 * (q - bbar)
         z = a - step * grad
-        re = np.sign(z.real) * np.maximum(np.abs(z.real) - step * lam, 0.0)
-        im = np.sign(z.imag) * np.maximum(np.abs(z.imag) - step * lam, 0.0)
-        y = re + 1j * im
+        re, im = prox_l1(z.real, step * lam), prox_l1(z.imag, step * lam)
         nrm = np.sqrt(np.sum(re * re + im * im, axis=0))
         scale = np.where(nrm > step * gamma, 1.0 - step * gamma / np.maximum(nrm, 1e-300), 0.0)
-        a = y * scale
+        a = (re + 1j * im) * scale
         q = _times_a(big_a, a)
         obj = _objective(a, q, bbar, gamma, lam)
         trace.append(obj)

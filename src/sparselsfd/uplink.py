@@ -49,11 +49,6 @@ class LsfdStatistics:
             arr.flags.writeable = False
 
 
-def mr_combiner(h_hat):
-    """Maximum-ratio combining: the channel estimate itself."""
-    return np.asarray(h_hat)
-
-
 def lmmse_combiner(h_hats, error_covs, p, noise_var):
     """Local MMSE combiners for all UEs at one AP, one shared inverse.
 

@@ -25,8 +25,6 @@ from sparselsfd import (
     estimate_lsfd_statistics,
     estimation_stats,
     generate_network,
-    mse,
-    mmse_weights,
     olsfd_weights,
     reference_solve,
     run_experiment,
@@ -35,7 +33,8 @@ from sparselsfd import (
 )
 from sparselsfd.harness import CSV_HEADER, main
 from sparselsfd.power_energy import Association, energy_efficiency, total_power
-from sparselsfd.sglasso import prox_composite, prox_l1, prox_l2
+from sparselsfd.sglasso import _group_core, prox_l1
+from sparselsfd.uplink import LsfdStatistics
 
 from helpers import compact_pipeline, complex_normal, random_pd, random_statistics
 
@@ -123,11 +122,15 @@ def test_criterion_3_closed_form_identities():
         direct = np.linalg.solve(big_a, b)
         gap = np.abs(olsfd_weights(big_a, b) - direct / (1.0 - q))
         worst_sm = max(worst_sm, float(gap.max() / np.abs(direct).max()))
+        # the MSE minimum p_k - b_s^H A^-1 b_s, as the problem's constant and
+        # as the unpenalized solve's objective
         p_k = float(rng.uniform(0.02, 0.1))
         b_s = np.sqrt(p_k) * b
-        val = mse(mmse_weights(big_a, b, p_k), big_a, b_s, p_k)
+        problem = build_problem(LsfdStatistics(A=big_a[None], b=b[None],
+                                               p=np.array([p_k])))
         expect = p_k - float(np.real(np.vdot(b_s, np.linalg.solve(big_a, b_s))))
-        worst_mse = max(worst_mse, abs(val - expect) / abs(expect))
+        for val in (p_k - problem.const, p_k + bcd_solve(problem).objective):
+            worst_mse = max(worst_mse, abs(val - expect) / abs(expect))
     dt = time.perf_counter() - t0
     ok = worst_sm <= 1e-10 and worst_mse <= 1e-10 and dt < 1.0
     _gate(3, ok, f"Sherman-Morrison gap {worst_sm:.2e}, MSE-minimum gap "
@@ -142,15 +145,19 @@ def test_criterion_4_prox_unit_examples():
     x = np.array([0.7, -2.0, 0.1])
     npt.assert_allclose(prox_l1(x, 0.0), x, **tol)
     npt.assert_allclose(prox_l1(x, 2.0), [0.0, 0.0, 0.0], **tol)
-    npt.assert_allclose(prox_l2(np.zeros(3), 1.0), np.zeros(3), **tol)
-    npt.assert_allclose(prox_l2(np.array([3.0, 4.0]), 1.0), [2.4, 3.2], **tol)
-    npt.assert_allclose(prox_l2(np.array([3.0, 4.0]), 5.0), [0.0, 0.0], **tol)
+
+    # the prox of gamma ||.||_2 + lam ||.||_1 is the group solve at g = 1/2
+    def prox(y, gamma, lam):
+        return _group_core(0.5, y / 2.0, gamma, lam)
+
+    npt.assert_allclose(prox(np.zeros(3), 1.0, 0.0), np.zeros(3), **tol)
+    npt.assert_allclose(prox(np.array([3.0, 4.0]), 1.0, 0.0), [2.4, 3.2], **tol)
+    npt.assert_allclose(prox(np.array([3.0, 4.0]), 5.0, 0.0), [0.0, 0.0], **tol)
     y = np.array([3.0, 4.0])
-    npt.assert_allclose(prox_composite(y, 1.0, 1.0, 0.0), prox_l2(y, 1.0), **tol)
-    npt.assert_allclose(prox_composite(y, 1.0, 0.0, 1.0), prox_l1(y, 1.0), **tol)
+    npt.assert_allclose(prox(y, 1.0, 0.0), [2.4, 3.2], **tol)
+    npt.assert_allclose(prox(y, 0.0, 1.0), prox_l1(y, 1.0), **tol)
     scale = (np.sqrt(13.0) - 1.0) / np.sqrt(13.0)
-    npt.assert_allclose(prox_composite(y, 1.0, 1.0, 1.0),
-                        scale * np.array([2.0, 3.0]), **tol)
+    npt.assert_allclose(prox(y, 1.0, 1.0), scale * np.array([2.0, 3.0]), **tol)
     dt = time.perf_counter() - t0
     _gate(4, dt < 1.0, f"thresholding examples exact at 1e-12, "
                        f"{dt:.2f}s (limit 1s)")

@@ -374,6 +374,9 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     "setups = 10x2, 10x2",
     "combiner = mr, mr",
     "lambda_grid = 1e-2, 1e-2",
+    "network.side_m = nan",
+    "network.side_m = inf",
+    "network.shadow_std_db = inf",
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
@@ -433,3 +436,29 @@ def test_cli_bad_drop_exit_3(tmp_path, capsys):
     assert all(base["error"] for base in diag["baselines"])
     assert all(base["error"] == cell["error"]
                for base in diag["baselines"] for cell in diag["cells"])
+
+
+@pytest.mark.parametrize("line, error", [
+    # link gains underflow to zero
+    ("network.gain_offset_db = -4000", "beta must be positive"),
+    # the squared AP height overflows a Python float
+    ("network.ap_height_m = 1e300", "OverflowError"),
+])
+def test_cli_bad_network_drop_exit_3(tmp_path, capsys, line, error):
+    # network generation fails inside the drop, so every baseline and cell
+    # records that failure and the outputs are still written
+    cfg_path = tmp_path / "fail.cfg"
+    cfg_path.write_text(MINI_CFG_TEXT + line + "\n")
+    out = tmp_path / "results"
+    code = main(["run", "--config", str(cfg_path), "--desk-scale", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "failed" in err and "Traceback" not in err
+    assert (out / "summary.csv").read_text().startswith(CSV_HEADER)
+    with open(out / "diagnostics.json") as fh:
+        diag = json.load(fh, parse_constant=reject_constant)
+    assert diag["failures"] == len(diag["cells"]) > 0
+    errors = {base["error"] for base in diag["baselines"]}
+    errors |= {cell["error"] for cell in diag["cells"]}
+    assert len(errors) == 1 and error in errors.pop()
+    assert all(base["powers_w"] is None for base in diag["baselines"])

@@ -8,14 +8,14 @@ from helpers import complex_normal, random_pd
 from sparselsfd import NetworkConfig, generate_network
 from sparselsfd.lsfd import (
     baseline_association,
-    mmse_weights,
-    mse,
     olsfd_weights,
     plsfd_weights,
     se,
     sinr,
 )
 from sparselsfd.pilots import assign_pilots
+from sparselsfd.sglasso import bcd_solve, build_problem
+from sparselsfd.uplink import LsfdStatistics
 
 
 def random_instance(rng, n=8):
@@ -81,18 +81,31 @@ def test_olsfd_sherman_morrison_colinear():
         npt.assert_allclose(a, expected, rtol=1e-10)
 
 
+def one_ue_problem(big_a, b, p_k):
+    return build_problem(LsfdStatistics(A=big_a[None], b=b[None], p=np.array([p_k])))
+
+
+def decoding_mse(a, big_a, b_scaled, p_k):
+    """a^H A a - 2 Re(a^H b_scaled) + p_k, b_scaled = sqrt(p_k) b."""
+    return (np.real(np.vdot(a, big_a @ a))
+            - 2.0 * np.real(np.vdot(a, b_scaled)) + p_k)
+
+
 def test_mse_examples():
+    # the sparse design's objective is the MSE minus p_k; unpenalized, its
+    # minimum is -const, reached at a = sqrt(p_k) A^-1 b
     rng = np.random.default_rng(4)
     big_a, b = random_instance(rng)
     p_k = 0.1
     b_scaled = np.sqrt(p_k) * b
-    npt.assert_allclose(mse(np.zeros(8), big_a, b_scaled, p_k), p_k)
+    problem = one_ue_problem(big_a, b, p_k)
+    npt.assert_allclose(problem.bbar[0], b_scaled, rtol=1e-15)
     quad = np.vdot(b_scaled, np.linalg.solve(big_a, b_scaled)).real
-    a_opt = mmse_weights(big_a, b, p_k)
-    npt.assert_allclose(a_opt, np.sqrt(p_k) * np.linalg.solve(big_a, b),
-                        rtol=1e-12)
-    npt.assert_allclose(mse(a_opt, big_a, b_scaled, p_k), p_k - quad,
-                        rtol=1e-10)
+    npt.assert_allclose(problem.const, quad, rtol=1e-12)
+    res = bcd_solve(problem)
+    npt.assert_allclose(res.a[0], np.sqrt(p_k) * np.linalg.solve(big_a, b),
+                        rtol=1e-8)
+    npt.assert_allclose(res.objective + p_k, p_k - quad, rtol=1e-10)
 
 
 def test_mse_minimum_and_stationarity():
@@ -101,31 +114,34 @@ def test_mse_minimum_and_stationarity():
         big_a, b = random_instance(rng)
         p_k = rng.uniform(0.02, 0.1)
         b_scaled = np.sqrt(p_k) * b
-        a_opt = mmse_weights(big_a, b, p_k)
-        floor = mse(a_opt, big_a, b_scaled, p_k)
-        quad = np.vdot(b_scaled, np.linalg.solve(big_a, b_scaled)).real
-        npt.assert_allclose(floor, p_k - quad, rtol=1e-10)
+        problem = one_ue_problem(big_a, b, p_k)
+        floor = p_k - problem.const
+        a_opt = bcd_solve(problem).a[0]
+        npt.assert_allclose(decoding_mse(a_opt, big_a, b_scaled, p_k), floor,
+                            rtol=1e-10)
         for _ in range(20):
             a = a_opt + 0.1 * complex_normal(rng, (8,))
-            assert mse(a, big_a, b_scaled, p_k) >= floor - 1e-12
+            assert decoding_mse(a, big_a, b_scaled, p_k) >= floor - 1e-12
         for i in range(8):
             for delta in (1e-4, 1e-4j, -1e-4, -1e-4j):
                 a = a_opt.copy()
                 a[i] += delta
-                assert mse(a, big_a, b_scaled, p_k) >= floor - 1e-14
+                assert decoding_mse(a, big_a, b_scaled, p_k) >= floor - 1e-14
 
 
 def test_olsfd_mse_scaling_consistency():
     # with c_k = sqrt(p)(1 - b^H A^-1 b) scaling, the O-LSFD direction
-    # attains the MSE minimum p(1 - b^H A^-1 b)
+    # attains the MSE minimum p(1 - b^H A^-1 b) = p - const
     rng = np.random.default_rng(6)
     for _ in range(20):
         big_a, b = random_instance(rng)
         p_k = rng.uniform(0.02, 0.1)
         quad = np.vdot(b, np.linalg.solve(big_a, b)).real
         a = olsfd_weights(big_a, b) * np.sqrt(p_k) * (1.0 - quad)
-        achieved = mse(a, big_a, np.sqrt(p_k) * b, p_k)
+        achieved = decoding_mse(a, big_a, np.sqrt(p_k) * b, p_k)
         npt.assert_allclose(achieved, p_k * (1.0 - quad), rtol=1e-10)
+        npt.assert_allclose(achieved, p_k - one_ue_problem(big_a, b, p_k).const,
+                            rtol=1e-10)
 
 
 def test_se_values():

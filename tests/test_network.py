@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sparselsfd import network
 from sparselsfd.network import (
     NetworkConfig,
+    _psd_repair,
     channel_statistics,
     correlation_matrix,
     generate_network,
@@ -84,6 +86,52 @@ def test_correlation_psd():
         assert np.linalg.eigvalsh(r).min() >= -1e-10 * beta
 
 
+def test_correlation_stack_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 4):
+        for asd in (0.0, np.deg2rad(15.0)):
+            beta = 10.0 ** rng.uniform(-12.0, 2.0, (3, 5))
+            phi = rng.uniform(-np.pi, np.pi, (3, 5))
+            stack = correlation_matrix(beta, phi, asd, n, 0.5)
+            assert stack.shape == (3, 5, n, n)
+            for k in range(3):
+                for l in range(5):
+                    npt.assert_array_equal(
+                        stack[k, l], correlation_matrix(beta[k, l], phi[k, l], asd, n, 0.5)
+                    )
+
+
+def test_correlation_stack_partial_repair(monkeypatch):
+    # a tolerance of -1e-6 repairs the matrices whose smallest eigenvalue is
+    # below 1e-6 beta: at the endfire angles phi = +-pi/2 the spread term
+    # vanishes and the matrix has rank one
+    monkeypatch.setattr(network, "PSD_EIG_RTOL", -1e-6)
+    beta = np.array([1.0, 2.0, 3.0, 4.0])
+    phi = np.array([0.3, np.pi / 2, 1.2, -np.pi / 2])
+    asd = np.deg2rad(15.0)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    stack = correlation_matrix(beta, phi, asd, 4, 0.5)
+    assert calls == [(2, 4, 4)]
+    for i in range(4):
+        npt.assert_array_equal(stack[i], correlation_matrix(beta[i], phi[i], asd, 4, 0.5))
+    assert len(calls) == 3  # one per scalar call that needed the repair
+
+
+def test_psd_repair_touches_only_indefinite_matrices():
+    good = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    bad = np.array([[1.0, 1.5j], [-1.5j, 1.0]])  # eigenvalues -0.5 and 2.5
+    stack = np.stack([good, bad, good])
+    fixed = _psd_repair(stack.copy(), np.ones(3))
+    npt.assert_array_equal(fixed[0], good)
+    npt.assert_array_equal(fixed[2], good)
+    w, v = np.linalg.eigh(bad)
+    npt.assert_allclose(fixed[1], 2.5 * np.outer(v[:, 1], v[:, 1].conj()), atol=1e-14)
+    npt.assert_array_equal(fixed[1], _psd_repair(bad.copy(), 1.0))
+    assert np.linalg.eigvalsh(fixed[1]).min() >= -1e-14
+
+
 def test_generate_deterministic():
     cfg = NetworkConfig(L=8, N=2, K=5, side_m=300.0)
     a = generate_network(cfg, seed=7)
@@ -145,3 +193,8 @@ def test_config_validation():
         NetworkConfig(L=1, N=1, K=1, side_m=-5.0)
     with pytest.raises(ValueError):
         NetworkConfig(L=1, N=1, K=1, noise_var=0.0)
+    for name in ("side_m", "ap_height_m", "shadow_std_db", "asd_deg",
+                 "antenna_spacing_wl", "noise_var", "gain_offset_db"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NetworkConfig(L=1, N=1, K=1, **{name: value})

@@ -115,6 +115,24 @@ def test_error_covariance_psd_order():
             assert np.linalg.eigvalsh(stats.B[k, l]).min() >= -1e-10 * inst.beta[k, l]
 
 
+def test_estimation_stack_matches_per_link_formula():
+    # several UEs per pilot, so Psi mixes co-pilot correlations
+    cfg = NetworkConfig(L=5, N=3, K=7, side_m=300.0, gain_offset_db=90.0)
+    inst = generate_network(cfg, seed=6)
+    plan = assign_pilots(inst.beta, 3)
+    stats = estimation_stats(inst, plan)
+    scale = plan.tau_p * plan.rho_p
+    for k in range(7):
+        for l in range(5):
+            r = inst.R[k, l]
+            psi = scale * sum(inst.R[i, l] for i in plan.copilot[plan.assignment[k]])
+            psi = psi + cfg.noise_var * np.eye(3)
+            npt.assert_allclose(stats.Psi[k, l], psi, rtol=1e-15)
+            b = scale * r @ np.linalg.solve(stats.Psi[k, l], r)
+            npt.assert_array_equal(stats.B[k, l], 0.5 * (b + b.conj().T))
+            npt.assert_array_equal(stats.C[k, l], r - stats.B[k, l])
+
+
 def test_estimate_channels_zero_correlation():
     inst, plan = scalar_instance([[1.0, 0.0001]])
     inst.R[0, 1] = 0.0

@@ -12,9 +12,7 @@ from sparselsfd.sglasso import (
     _group_core,
     build_problem,
     kkt_residual,
-    prox_composite,
     prox_l1,
-    prox_l2,
     reference_solve,
     snap_zeros,
 )
@@ -57,30 +55,38 @@ def test_prox_l1_full_shrinkage():
     npt.assert_array_equal(prox_l1(x, 2.0), np.zeros(3))
 
 
+def prox(x, gamma, lam):
+    """Prox of gamma ||.||_2 + lam ||.||_1 at real x, by the exact group solve.
+
+    With g = 1/2 and c = x/2 the group subproblem is ||u - x||^2/2 plus the
+    penalty, up to a constant.
+    """
+    return _group_core(0.5, np.asarray(x, dtype=float) / 2.0, gamma, lam).real
+
+
 def test_prox_l2_zero_input():
-    npt.assert_array_equal(prox_l2(np.zeros(4), 1.0), np.zeros(4))
+    npt.assert_array_equal(prox(np.zeros(4), 1.0, 0.0), np.zeros(4))
 
 
 def test_prox_l2_direct():
-    npt.assert_allclose(prox_l2(np.array([3.0, 4.0]), 1.0), [2.4, 3.2],
+    npt.assert_allclose(prox(np.array([3.0, 4.0]), 1.0, 0.0), [2.4, 3.2],
                         atol=1e-12)
 
 
 def test_prox_l2_full_shrinkage():
-    npt.assert_array_equal(prox_l2(np.array([0.6, 0.8]), 1.0), np.zeros(2))
+    npt.assert_array_equal(prox(np.array([0.6, 0.8]), 1.0, 0.0), np.zeros(2))
 
 
 def test_prox_composite_degenerate_penalties():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(6)
-    npt.assert_array_equal(prox_composite(x, 1.0, 0.7, 0.0),
-                           prox_l2(x, 0.7))
-    npt.assert_array_equal(prox_composite(x, 1.0, 0.0, 0.3),
-                           prox_l1(x, 0.3))
+    npt.assert_allclose(prox(x, 0.7, 0.0),
+                        x * (1.0 - 0.7 / np.linalg.norm(x)), rtol=1e-14)
+    npt.assert_array_equal(prox(x, 0.0, 0.3), prox_l1(x, 0.3))
 
 
 def test_prox_composite_direct():
-    out = prox_composite(np.array([3.0, 4.0]), 1.0, 1.0, 1.0)
+    out = prox(np.array([3.0, 4.0]), 1.0, 1.0)
     scale = (np.sqrt(13.0) - 1.0) / np.sqrt(13.0)
     npt.assert_allclose(out, scale * np.array([2.0, 3.0]), atol=1e-12)
     npt.assert_allclose(out, [1.44530, 2.16795], atol=1e-5)
@@ -90,17 +96,18 @@ def test_prox_rejects_negative_threshold():
     with pytest.raises(ValueError):
         prox_l1(np.ones(2), -0.1)
     with pytest.raises(ValueError):
-        prox_l2(np.ones(2), -0.1)
+        SolverOptions(gamma=-0.1)
 
 
 def test_prox_composite_is_lemma_fixed_point():
-    # the composite map solves min_u ||u - x||^2/2 + mu(gamma ||u|| + lam |u|_1):
-    # compare against a dense grid scan in 2D
+    # the group solve at g = 1/2 solves
+    # min_u ||u - x||^2/2 + mu(gamma ||u|| + lam |u|_1): compare against a
+    # dense grid scan in 2D
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.uniform(-2, 2, 2)
         mu, gamma, lam = rng.uniform(0.1, 1.0, 3)
-        u_star = prox_composite(x, mu, gamma, lam)
+        u_star = prox(x, mu * gamma, mu * lam)
 
         def val(u):
             return (0.5 * np.sum((u - x) ** 2)
@@ -355,6 +362,43 @@ def test_kkt_residual_grows_under_perturbation():
         a = res.a.copy()
         a[0, 0] += 0.1
         assert kkt_residual(a, problem, 1e-3, 1e-3) > base
+
+
+def kkt_per_group(a, problem, gamma, lam):
+    """The KKT residual one group at a time, straight from its definition."""
+    grad = 2.0 * np.einsum("krl,kl->kr", problem.A, a) - 2.0 * problem.bbar
+    worst = 0.0
+    for l in range(a.shape[1]):
+        g = np.concatenate([grad[:, l].real, grad[:, l].imag])
+        x = np.concatenate([a[:, l].real, a[:, l].imag])
+        if not np.any(x):
+            viol = max(np.linalg.norm(prox_l1(-g, lam)) - gamma, 0.0)
+        else:
+            w = g + gamma * x / np.linalg.norm(x)
+            viol = max(
+                abs(w[i] + lam * np.sign(x[i])) if x[i] != 0
+                else max(abs(w[i]) - lam, 0.0)
+                for i in range(x.size)
+            )
+        worst = max(worst, viol)
+    return worst
+
+
+def test_kkt_residual_matches_per_group_definition():
+    # zero groups, full groups and half-zero coordinates, at all penalty mixes
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        stats = random_statistics(rng, n_ue=3, n_ap=6)
+        problem = build_problem(stats)
+        for gamma, lam in ((0.0, 0.0), (1e-2, 0.0), (0.0, 1e-2), (5e-2, 1e-2)):
+            a = bcd_solve(problem, SolverOptions(gamma=gamma, lam=lam,
+                                                 max_sweeps=3)).a
+            a[:, 0] = 0.0
+            a[1, 1] = a[1, 1].real
+            scale = np.abs(2.0 * problem.bbar).max()
+            npt.assert_allclose(kkt_residual(a, problem, gamma, lam),
+                                kkt_per_group(a, problem, gamma, lam),
+                                rtol=1e-12, atol=1e-14 * scale)
 
 
 def test_reference_solve_quadratic_case():

@@ -10,7 +10,6 @@ from sparselsfd.uplink import (
     Combiner,
     estimate_lsfd_statistics,
     lmmse_combiner,
-    mr_combiner,
 )
 
 
@@ -21,14 +20,6 @@ def small_pipeline(seed=20, n_ue=3, n_ap=4, n_ant=2):
     plan = assign_pilots(inst.beta, 2)
     est = estimation_stats(inst, plan)
     return inst, plan, est
-
-
-def test_mr_is_identity():
-    v = mr_combiner(np.array([1.0 + 1.0j, 0.0]))
-    npt.assert_array_equal(v, [1.0 + 1.0j, 0.0])
-    npt.assert_array_equal(mr_combiner(np.zeros(3, complex)), np.zeros(3))
-    h = complex_normal(np.random.default_rng(0), (5,))
-    npt.assert_allclose(np.linalg.norm(mr_combiner(h)), np.linalg.norm(h))
 
 
 def test_lmmse_scalar_case():
