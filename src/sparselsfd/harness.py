@@ -19,7 +19,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,8 +257,6 @@ def _run_drop(cfg, setup, drop, stats_workers):
                     inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
                     n_workers=stats_workers,
                 )
-                if not (np.all(np.isfinite(stats.A)) and np.all(np.isfinite(stats.b))):
-                    raise FloatingPointError("LSFD statistics are not finite")
                 base = _baseline_record(
                     cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas,
                 )
@@ -476,43 +474,52 @@ def _float_list(text):
     return tuple(float(part) for part in text.split(","))
 
 
-# dotted config key -> (section, field name, parser)
-_KEY_MAP = {
-    "seed": ("", "seed", int),
-    "n_drops": ("", "n_drops", int),
-    "n_blocks": ("", "n_blocks", int),
-    "n_workers": ("", "n_workers", int),
-    "record_timing": ("", "record_timing", _parse_bool),
-    "lambda_grid": ("", "lambda_grid", _float_list),
-    "gamma_grid": ("", "gamma_grid", _float_list),
-    "setups": ("", "setups", _parse_setups),
-    "combiner": ("", "combiners", _parse_combiners),
-    "network.k": ("network", "K", int),
-    "network.side_m": ("network", "side_m", float),
-    "network.ap_height_m": ("network", "ap_height_m", float),
-    "network.shadow_std_db": ("network", "shadow_std_db", float),
-    "network.asd_deg": ("network", "asd_deg", float),
-    "network.antenna_spacing_wl": ("network", "antenna_spacing_wl", float),
-    "network.noise_var": ("network", "noise_var", float),
-    "network.gain_offset_db": ("network", "gain_offset_db", float),
-    "pilot.tau_p": ("", "tau_p", int),
-    "pilot.tau_c": ("", "tau_c", int),
-    "pilot.rho_p": ("", "rho_p_w", float),
-    "power.bandwidth_hz": ("power", "bandwidth_hz", float),
-    "power.p_max": ("power", "p_max_w", float),
-    "power.theta": ("power", "theta", float),
-    "power.eta": ("power", "pa_efficiency", float),
-    "power.p_c_ue": ("power", "p_circuit_ue_w", float),
-    "power.p_c_ap": ("power", "p_circuit_ap_w", float),
-    "power.p_proc": ("power", "p_proc_w", float),
-    "power.p_fix_fh": ("power", "p_fix_fh_w", float),
-    "power.p_sig": ("power", "p_sig_w", float),
-    "power.p_fix_cpu": ("power", "p_fix_cpu_w", float),
-    "power.p_lsfd": ("power", "p_lsfd_w", float),
-    "power.p_deco": ("power", "p_deco_w_per_bps", float),
-    "solver.max_sweeps": ("solver", "max_sweeps", int),
-    "solver.tol_rel": ("solver", "tol_rel", float),
+# documented config keys whose field has another name: key -> dotted field
+_ALIASES = {
+    "combiner": "combiners",
+    "pilot.tau_p": "tau_p",
+    "pilot.tau_c": "tau_c",
+    "pilot.rho_p": "rho_p_w",
+    "power.p_max": "power.p_max_w",
+    "power.eta": "power.pa_efficiency",
+    "power.p_c_ue": "power.p_circuit_ue_w",
+    "power.p_c_ap": "power.p_circuit_ap_w",
+    "power.p_proc": "power.p_proc_w",
+    "power.p_fix_fh": "power.p_fix_fh_w",
+    "power.p_sig": "power.p_sig_w",
+    "power.p_fix_cpu": "power.p_fix_cpu_w",
+    "power.p_lsfd": "power.p_lsfd_w",
+    "power.p_deco": "power.p_deco_w_per_bps",
 }
+# fields no key sets: the sections themselves, L and N (set per setup)
+# and the penalties (set per grid cell)
+_NOT_KEYS = {"network", "power", "solver", "network.L", "network.N",
+             "solver.gamma", "solver.lam"}
+_FIELD_PARSERS = {
+    "setups": _parse_setups,
+    "combiners": _parse_combiners,
+    "lambda_grid": _float_list,
+    "gamma_grid": _float_list,
+}
+_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
+
+def _key_map():
+    """Dotted config key -> (section, field name, parser), one per field."""
+    renamed = {field_: key for key, field_ in _ALIASES.items()}
+    key_map = {}
+    for section, cls in (("", ExperimentConfig), ("network", NetworkConfig),
+                         ("power", PowerModel), ("solver", SolverOptions)):
+        for f in fields(cls):
+            dotted = f"{section}.{f.name}" if section else f.name
+            if dotted in _NOT_KEYS:
+                continue
+            parser = _FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[f.type]
+            key_map[renamed.get(dotted, dotted).lower()] = (section, f.name, parser)
+    return key_map
+
+
+_KEY_MAP = _key_map()
 
 
 def parse_config_text(text):

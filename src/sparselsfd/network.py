@@ -151,10 +151,12 @@ def channel_statistics(cfg, ap_pos, ue_pos, shadow_db):
     return beta, big_r
 
 
+@np.errstate(over="raise", invalid="raise")
 def generate_network(cfg, seed):
     """Drop APs and UEs uniformly on the square and build link statistics.
 
-    Deterministic given (cfg, seed).
+    Deterministic given (cfg, seed).  Raises FloatingPointError if a gain
+    or a correlation entry overflows or is invalid.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_GEOMETRY]))
     ap_pos = rng.uniform(0.0, cfg.side_m, size=(cfg.L, 2))

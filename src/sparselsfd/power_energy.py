@@ -97,6 +97,8 @@ def fractional_power(beta, serving, p_max, theta):
             raise ValueError(f"UE {k} has an empty serving set")
         sums.append(beta[k, aps].sum())
     sums = np.asarray(sums)
+    if not np.all(np.isfinite(sums) & (sums > 0)):
+        raise ValueError("serving-set gains must be finite and positive")
     return p_max * (sums.min() / sums) ** theta
 
 

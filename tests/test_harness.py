@@ -24,6 +24,7 @@ from sparselsfd import (
 from sparselsfd.harness import (
     CSV_HEADER,
     RunReport,
+    _KEY_MAP,
     _select_setup,
     apply_config,
     main,
@@ -101,6 +102,50 @@ def test_apply_config_rejects_bad_input():
         apply_config(paper_config(), {"setups": "40,4"})
     with pytest.raises(ConfigError):
         apply_config(paper_config(), {"n_blocks": "0"})
+
+
+# every key the README documents, top-level first
+DOCUMENTED_KEYS = {
+    "seed", "n_drops", "n_blocks", "n_workers", "record_timing",
+    "lambda_grid", "gamma_grid", "setups", "combiner",
+    "network.k", "network.side_m", "network.ap_height_m",
+    "network.shadow_std_db", "network.asd_deg", "network.antenna_spacing_wl",
+    "network.noise_var", "network.gain_offset_db",
+    "pilot.tau_p", "pilot.tau_c", "pilot.rho_p",
+    "power.bandwidth_hz", "power.p_max", "power.theta", "power.eta",
+    "power.p_c_ue", "power.p_c_ap", "power.p_proc", "power.p_fix_fh",
+    "power.p_sig", "power.p_fix_cpu", "power.p_lsfd", "power.p_deco",
+    "solver.max_sweeps", "solver.tol_rel",
+}
+
+
+def test_config_keys_are_the_documented_names():
+    assert set(_KEY_MAP) == DOCUMENTED_KEYS
+    # every key reaches its field: set each one to its current value
+    values = {"setups": "40x4", "combiner": "mr", "record_timing": "true"}
+    cfg = paper_config()
+    for key, (section, name, _) in _KEY_MAP.items():
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        if isinstance(value, tuple):
+            value = ", ".join(map(repr, value))
+        values.setdefault(key, str(value))
+    assert apply_config(cfg, values) == replace(cfg, setups=((40, 4),),
+                                                combiners=(Combiner.MR,))
+    cfg = apply_config(cfg, {"power.eta": "0.3", "power.p_deco": "2e-9",
+                             "pilot.rho_p": "0.2", "network.k": "6"})
+    assert cfg.power.pa_efficiency == 0.3
+    assert cfg.power.p_deco_w_per_bps == 2e-9
+    assert cfg.rho_p_w == 0.2
+    assert cfg.network.K == 6
+
+
+@pytest.mark.parametrize("key", [
+    "tau_p", "combiners", "rho_p_w", "power.pa_efficiency", "power.p_max_w",
+    "network.l", "network.n", "solver.gamma", "solver.lam", "network", "power",
+])
+def test_field_names_behind_aliases_are_not_keys(key):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        apply_config(paper_config(), {key: "1"})
 
 
 def test_experiment_config_validation():
@@ -244,6 +289,21 @@ def test_sweep_summary_deterministic(light_summary):
 def test_worker_count_invariance(light_summary):
     threaded = run_experiment(mini_config(lambda_grid=(1e-4, 1e-1), n_workers=3))
     assert sweep_summary(threaded) == light_summary
+
+
+@pytest.mark.parametrize("n_drops", [1, 2])
+def test_summary_csv_identical_across_worker_counts(tmp_path, n_drops):
+    # one drop hands the workers its statistics chunks, two drops run in
+    # the pool; local MMSE's 600 Monte Carlo blocks span three chunks
+    outputs = set()
+    for workers in (1, 2, 3):
+        cfg = mini_config(combiners=(Combiner.MR, Combiner.LMMSE), n_blocks=600,
+                          n_drops=n_drops, lambda_grid=(1e-4, 1e-1),
+                          n_workers=workers)
+        out = tmp_path / f"w{workers}"
+        write_outputs(run_experiment(cfg), out)
+        outputs.add((out / "summary.csv").read_bytes())
+    assert len(outputs) == 1
 
 
 def test_thread_pools_not_nested(monkeypatch):
@@ -443,6 +503,10 @@ def test_cli_bad_drop_exit_3(tmp_path, capsys):
     ("network.gain_offset_db = -4000", "beta must be positive"),
     # the squared AP height overflows a Python float
     ("network.ap_height_m = 1e300", "OverflowError"),
+    # link gains overflow to inf
+    ("network.gain_offset_db = 4000", "FloatingPointError: overflow"),
+    # the angular-spread exponent of the correlation overflows
+    ("network.asd_deg = 1e300", "FloatingPointError: overflow"),
 ])
 def test_cli_bad_network_drop_exit_3(tmp_path, capsys, line, error):
     # network generation fails inside the drop, so every baseline and cell
@@ -454,6 +518,7 @@ def test_cli_bad_network_drop_exit_3(tmp_path, capsys, line, error):
     assert code == 3
     err = capsys.readouterr().err
     assert "failed" in err and "Traceback" not in err
+    assert "Warning" not in err
     assert (out / "summary.csv").read_text().startswith(CSV_HEADER)
     with open(out / "diagnostics.json") as fh:
         diag = json.load(fh, parse_constant=reject_constant)

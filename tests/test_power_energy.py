@@ -114,6 +114,14 @@ def test_fractional_power_rejects_empty_set():
         fractional_power(beta, [np.array([0]), np.array([1])], 0.0, 1.0)
 
 
+@pytest.mark.parametrize("gain", [np.inf, np.nan, 0.0])
+def test_fractional_power_rejects_bad_gains(gain):
+    # checked before the ratio of gain sums, which would be nan or inf
+    beta = np.array([[1.0, 2.0], [gain, gain]])
+    with pytest.raises(ValueError, match="finite and positive"):
+        fractional_power(beta, [np.array([0, 1])] * 2, 0.1, 1.0)
+
+
 # --------------------------------------------------------------- energy model
 
 def test_total_power_single_link_sum():

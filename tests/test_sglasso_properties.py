@@ -82,3 +82,23 @@ def test_reported_objective_is_quadratic_form(problem, lam_frac, gam_frac):
     res = bcd_solve(problem, SolverOptions(gamma=gamma, lam=lam))
     expected = quadratic_objective(problem, res.a, gamma, lam)
     assert abs(res.objective - expected) <= 1e-10 * problem.const
+
+
+@SETTINGS
+@given(problems(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_optimal_objective_nondecreasing_in_penalties(problem, fracs):
+    # raising lambda or gamma raises the penalty of every point, so the
+    # optimal objective cannot fall; zero patterns need not be monotone
+    lam_lo, lam_hi = sorted(fracs[:2])
+    gam_lo, gam_hi = sorted(fracs[2:])
+    lam_lo, gam_lo = penalties(problem, lam_lo, gam_lo)
+    lam_hi, gam_hi = penalties(problem, lam_hi, gam_hi)
+
+    def optimum(gamma, lam):
+        options = SolverOptions(gamma=gamma, lam=lam, tol_rel=1e-13)
+        return bcd_solve(problem, options).objective
+
+    base = optimum(gam_lo, lam_lo)
+    slack = 1e-9 * problem.const
+    assert base <= optimum(gam_lo, lam_hi) + slack
+    assert base <= optimum(gam_hi, lam_lo) + slack

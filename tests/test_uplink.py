@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import complex_normal, compact_pipeline, random_pd
+from helpers import complex_normal, compact_pipeline, mr_monte_carlo, random_pd
 
-from sparselsfd import NetworkConfig, generate_network
+from sparselsfd import NetworkConfig, generate_network, pilots
 from sparselsfd.pilots import assign_pilots, estimate_channels, estimation_stats
 from sparselsfd.uplink import (
     Combiner,
+    _mr_moments,
     estimate_lsfd_statistics,
     lmmse_combiner,
 )
@@ -102,15 +105,26 @@ def test_statistics_linear_in_powers_mr():
     npt.assert_allclose(s2.b, np.sqrt(2.0) * s1.b, rtol=1e-12)
 
 
+def lmmse_draws(inst, plan, est, p, n_blocks, seed):
+    """Public per-block draws h and their local MMSE combiners v, (blocks, K, L, N)."""
+    h, h_hat = estimate_channels(inst, plan, est, seed=seed, n_blocks=n_blocks)
+    v = np.stack([
+        lmmse_combiner(h_hat[:, :, l], est.C[:, l], p, inst.cfg.noise_var)
+        for l in range(inst.cfg.L)
+    ], axis=2)
+    return h, v
+
+
 def test_statistics_match_manual_accumulation():
     # rebuild A_k, b_k by hand from per-AP means and second moments of the
-    # public per-block draws with MR combining; 300 blocks span two chunks
+    # public per-block draws with local MMSE combining; 300 blocks span two
+    # chunks
     inst, plan, est = small_pipeline(seed=21)
     p = np.array([0.08, 0.03, 0.1])
     n_blocks = 300
-    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p,
+    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.LMMSE, p,
                                      n_blocks, seed=5)
-    h, h_hat = estimate_channels(inst, plan, est, seed=5, n_blocks=n_blocks)
+    h, v_all = lmmse_draws(inst, plan, est, p, n_blocks, seed=5)
     n_ue, n_ap = 3, 4
     mean_g = np.zeros((n_ue, n_ap, n_ue), complex)  # E v_kl^H h_il
     mean_g2 = np.zeros((n_ue, n_ap, n_ue))          # E |v_kl^H h_il|^2
@@ -118,7 +132,7 @@ def test_statistics_match_manual_accumulation():
     for blk in range(n_blocks):
         for k in range(n_ue):
             for l in range(n_ap):
-                v = h_hat[blk, k, l]
+                v = v_all[blk, k, l]
                 vnorm[k, l] += np.real(np.vdot(v, v)) / n_blocks
                 for i in range(n_ue):
                     g = np.vdot(v, h[blk, i, l])
@@ -140,11 +154,11 @@ def test_statistics_match_manual_accumulation():
 
 
 def full_outer_product_statistics(inst, plan, est, p, n_blocks, seed):
-    """MR statistics as the sample mean of sum_i p_i g_ki g_ki^H over blocks."""
-    h, h_hat = estimate_channels(inst, plan, est, seed=seed, n_blocks=n_blocks)
-    g = np.einsum("bkln,biln->bkli", h_hat.conj(), h)  # v_kl^H h_il
+    """Local MMSE statistics as the sample mean of sum_i p_i g_ki g_ki^H."""
+    h, v = lmmse_draws(inst, plan, est, p, n_blocks, seed)
+    g = np.einsum("bkln,biln->bkli", v.conj(), h)  # v_kl^H h_il
     big_a = np.einsum("bkli,i,bkmi->klm", g, p, g.conj()) / n_blocks
-    vnorm = np.sum(np.abs(h_hat) ** 2, axis=(0, 3)) / n_blocks
+    vnorm = np.sum(np.abs(v) ** 2, axis=(0, 3)) / n_blocks
     big_a += inst.cfg.noise_var * vnorm[:, :, None] * np.eye(inst.cfg.L)
     b = np.sqrt(p)[:, None] * np.einsum("bklk->kl", g) / n_blocks
     return big_a, b
@@ -158,7 +172,7 @@ def test_statistics_agree_with_full_outer_product():
     eye = np.eye(inst.cfg.L, dtype=bool)
     gaps = []
     for n_blocks in (200, 20000):
-        stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p,
+        stats = estimate_lsfd_statistics(inst, plan, est, Combiner.LMMSE, p,
                                          n_blocks, seed=9)
         big_a, b = full_outer_product_statistics(inst, plan, est, p,
                                                  n_blocks, seed=9)
@@ -169,6 +183,77 @@ def test_statistics_agree_with_full_outer_product():
                     / np.abs(big_a[:, off]).max())
     # O(1/sqrt(n_blocks)): 100x the blocks shrinks the gap about 10x
     assert gaps[1] < 0.3 * gaps[0]
+
+
+def contaminated_pipeline():
+    """6 UEs on 2 pilots with 3 antennas per AP, so co-pilot UEs contaminate.
+
+    Every link has the same gain (pilot SNR 10 dB) and a random correlation
+    matrix, so the contamination is strong and its means are complex: the
+    Toeplitz correlation of a linear array would make them all real.
+    """
+    inst, plan, _ = small_pipeline(seed=25, n_ue=6, n_ap=5, n_ant=3)
+    assert plan.tau_p < inst.cfg.K
+    g = complex_normal(np.random.default_rng(25), inst.beta.shape + (3, 3))
+    big_r = g @ np.swapaxes(g.conj(), -1, -2)
+    gain = 10.0 / (plan.tau_p * plan.rho_p)
+    big_r *= 3.0 * gain / np.trace(big_r, axis1=-2, axis2=-1).real[..., None, None]
+    inst = replace(inst, R=big_r)
+    return inst, plan, estimation_stats(inst, plan), np.linspace(0.02, 0.1, 6)
+
+
+def test_mr_statistics_match_monte_carlo_oracle():
+    # b, A (diagonal and off-diagonal) and the per-AP means E{g_kil},
+    # co-pilot terms included, lie within 6 per-entry standard errors of
+    # the closed form
+    inst, plan, est, p = contaminated_pipeline()
+    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 1, seed=0)
+    mean_g = np.swapaxes(_mr_moments(inst, plan, est)[0], 0, 1)  # (K, L, K)
+    oracle = mr_monte_carlo(inst, plan, est, p, n_blocks=4000, seed=12)
+    for name, exact in (("b", stats.b), ("A", stats.A), ("g", mean_g)):
+        mean, stderr = oracle[name]
+        bound = 6.0 * stderr + 1e-12 * np.abs(exact).max()
+        assert np.all(np.abs(mean - exact) <= bound), name
+    # the co-pilot means lie well away from zero, with clearly complex ones
+    # among them, so the check above bites on them; other pairs have mean 0
+    same = plan.assignment[:, None] == plan.assignment[None, :]
+    copilot = same & ~np.eye(6, dtype=bool)
+    stderr = np.swapaxes(oracle["g"][1], 1, 2)[copilot]  # (pairs, L)
+    copilot_g = np.swapaxes(mean_g, 1, 2)[copilot]
+    assert np.all((np.abs(copilot_g) / stderr).max(axis=1) > 6.0)
+    assert (np.abs(copilot_g.imag) / stderr).max() > 6.0
+    npt.assert_array_equal(np.swapaxes(mean_g, 1, 2)[~same], 0.0)
+
+
+def test_mr_monte_carlo_gap_shrinks():
+    # O(1/sqrt(n_blocks)): 100x the blocks shrinks the oracle's gap to the
+    # closed form about 10x
+    inst, plan, est, p = contaminated_pipeline()
+    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 1, seed=0)
+    gaps = []
+    for n_blocks in (200, 20000):
+        oracle = mr_monte_carlo(inst, plan, est, p, n_blocks, seed=13)
+        gaps.append(max(
+            np.abs(oracle[name][0] - exact).max() / np.abs(exact).max()
+            for name, exact in (("b", stats.b), ("A", stats.A))
+        ))
+    assert gaps[1] < gaps[0] / 3.0
+
+
+def test_mr_statistics_draw_no_random_numbers(monkeypatch):
+    inst, plan, est, p = contaminated_pipeline()
+    ref = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 500, seed=3)
+
+    def no_draws(*args):
+        raise AssertionError("MR statistics drew random numbers")
+
+    monkeypatch.setattr(pilots, "_substream", no_draws)
+    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 500,
+                                     seed=4, n_workers=2)
+    npt.assert_array_equal(stats.A, ref.A)
+    npt.assert_array_equal(stats.b, ref.b)
+    with pytest.raises(AssertionError, match="drew random numbers"):
+        estimate_lsfd_statistics(inst, plan, est, Combiner.LMMSE, p, 500, seed=4)
 
 
 def test_mr_per_block_term_inclusion():
@@ -202,9 +287,7 @@ def test_statistics_worker_count_invariance():
 
 def contaminated_mr_statistics():
     """MR statistics with 6 UEs on 2 pilots, so co-pilot UEs contaminate."""
-    inst, plan, est = small_pipeline(seed=25, n_ue=6, n_ap=5)
-    assert plan.tau_p < inst.cfg.K
-    p = np.linspace(0.02, 0.1, 6)
+    inst, plan, est, p = contaminated_pipeline()
     return estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 60, seed=8)
 
 
@@ -228,9 +311,15 @@ def test_statistics_validation():
     with pytest.raises(ValueError):
         estimate_lsfd_statistics(inst, plan, est, Combiner.MR,
                                  np.array([-0.1, 0.1, 0.1]), 10, seed=1)
+    # MR uses none of n_blocks, seed and n_workers, but still checks them
+    for combiner in (Combiner.MR, Combiner.LMMSE):
+        for n_blocks, seed, workers in ((0, 1, 1), (10, -1, 1), (10, 1, 0)):
+            with pytest.raises(ValueError):
+                estimate_lsfd_statistics(inst, plan, est, combiner,
+                                         np.full(3, 0.1), n_blocks, seed,
+                                         n_workers=workers)
     with pytest.raises(ValueError):
-        estimate_lsfd_statistics(inst, plan, est, Combiner.MR,
-                                 np.full(3, 0.1), 0, seed=1)
+        estimate_lsfd_statistics(inst, plan, est, "zf", np.full(3, 0.1), 10, 1)
 
 
 def test_statistics_overflow_raises():
