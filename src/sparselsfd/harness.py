@@ -233,7 +233,7 @@ def _baseline_record(cfg, setup_name, comb, drop, inst, plan, stats, p, n_antenn
     )
 
 
-def _run_drop(cfg, setup, drop, stats_workers):
+def _run_drop(cfg, setup, drop):
     n_ap, n_antennas = setup
     setup_name = f"L{n_ap}N{n_antennas}"
     net_cfg = replace(cfg.network, L=n_ap, N=n_antennas)
@@ -254,8 +254,7 @@ def _run_drop(cfg, setup, drop, stats_workers):
         if drop_error is None:
             try:
                 stats = estimate_lsfd_statistics(
-                    inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop,
-                    n_workers=stats_workers,
+                    inst, plan, est, comb, p, cfg.n_blocks, cfg.seed + drop
                 )
                 base = _baseline_record(
                     cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas,
@@ -290,12 +289,11 @@ def _run_drop(cfg, setup, drop, stats_workers):
 def run_experiment(cfg):
     """Run the full sweep; cell failures are recorded, not raised."""
     jobs = [(setup, drop) for setup in cfg.setups for drop in range(cfg.n_drops)]
-    # one pool only: drops in parallel, or the statistics chunks of each drop
     if cfg.n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            outputs = list(pool.map(lambda j: _run_drop(cfg, *j, 1), jobs))
+            outputs = list(pool.map(lambda j: _run_drop(cfg, *j), jobs))
     else:
-        outputs = [_run_drop(cfg, *job, cfg.n_workers) for job in jobs]
+        outputs = [_run_drop(cfg, *job) for job in jobs]
     baselines = []
     records = []
     for base, recs in outputs:
@@ -570,8 +568,8 @@ def apply_config(base, values):
 def load_config(path, desk_scale=False):
     base = desk_config() if desk_scale else paper_config()
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return apply_config(base, parse_config_text(text))
 

@@ -8,9 +8,8 @@ C = R - B.
 
 Randomness contract: channel and pilot-noise realizations are drawn from
 substreams keyed by (seed, tag, link, chunk) with a fixed block chunk
-size, so any evaluation order or worker count reproduces identical
-blocks, and block b of a given link never depends on how many blocks are
-requested.
+size, so any evaluation order reproduces identical blocks, and block b
+of a given link never depends on how many blocks are requested.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import numpy as np
 
 from .linalg import herm, hermitian_sqrt
 
-# number of coherence blocks drawn per RNG substream; fixed so that results
-# are independent of how block ranges are split across workers
+# number of coherence blocks drawn per RNG substream; fixed so that block b
+# of a link is the same whatever the number of blocks requested
 BLOCK_CHUNK = 256
 
 _TAG_CHANNEL = 1

@@ -10,7 +10,7 @@ divided by total power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class PowerModel:
     p_deco_w_per_bps: float = 1e-9  # decoding power per bit/s
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not 0 <= getattr(self, f.name) < np.inf]
+        if bad:
+            raise ValueError(
+                f"power parameters must be finite and nonnegative: {', '.join(bad)}"
+            )
         if self.pa_efficiency <= 0 or self.bandwidth_hz <= 0 or self.p_max_w <= 0:
             raise ValueError("bandwidth, p_max and pa_efficiency must be positive")
 

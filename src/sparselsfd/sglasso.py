@@ -62,6 +62,8 @@ class SolverOptions:
     tol_rel: float = 1e-8
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.gamma, self.lam, self.tol_rel))):
+            raise ValueError("gamma, lam and tol_rel must be finite")
         if self.gamma < 0 or self.lam < 0:
             raise ValueError("penalties must be nonnegative")
         if self.max_sweeps < 1:

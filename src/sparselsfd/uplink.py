@@ -26,15 +26,14 @@ circular Gaussian x with covariance S.  MR draws no random numbers.
 
 Local MMSE has no closed form, so its moments are Monte Carlo sample
 means over coherence blocks, drawn one AP at a time under the randomness
-contract of `pilots` (never an L x L sample outer product).  Sums are
-accumulated in fixed chunk order, so results are bit-identical for any
-worker count.
+contract of `pilots` (never an L x L sample outer product).  Per-chunk
+partial sums are added in chunk order, so a given seed and block count
+always give bit-identical results.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,6 @@ def lmmse_combiner(h_hats, error_covs, p, noise_var):
     return np.swapaxes(np.linalg.solve(m, ht) * p, -1, -2)
 
 
-@np.errstate(over="raise", invalid="raise")  # per call, so also in workers
 def _chunk_moments(work, p, err_covs, seed, chunk, n_in_chunk):
     """Local MMSE per-AP partial sums over one chunk, one AP at a time.
 
@@ -97,28 +95,14 @@ def _chunk_moments(work, p, err_covs, seed, chunk, n_in_chunk):
     return sum_g, sum_g2, sum_vnorm
 
 
-def _lmmse_moments(instance, plan, stats, p, n_blocks, seed, n_workers):
-    """Monte Carlo per-AP moments of local MMSE over n_blocks blocks.
-
-    Chunks may be evaluated concurrently (n_workers threads); partial sums
-    are reduced in fixed chunk order, so the result does not depend on
-    n_workers.
-    """
+def _lmmse_moments(instance, plan, stats, p, n_blocks, seed):
+    """Monte Carlo per-AP moments of local MMSE over n_blocks blocks."""
     work = _DrawWork(instance, plan, stats)
-    spans = [
-        (chunk, min(start + BLOCK_CHUNK, n_blocks) - start)
+    parts = [
+        _chunk_moments(work, p, stats.C, seed, chunk,
+                       min(start + BLOCK_CHUNK, n_blocks) - start)
         for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK))
     ]
-
-    def run(span):
-        chunk, size = span
-        return _chunk_moments(work, p, stats.C, seed, chunk, size)
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, spans))
-    else:
-        parts = [run(s) for s in spans]
     return tuple(sum(part[i] for part in parts) / n_blocks for i in range(3))
 
 
@@ -139,23 +123,17 @@ def _mr_moments(instance, plan, stats):
 
 
 @np.errstate(over="raise", invalid="raise")
-def estimate_lsfd_statistics(
-    instance, plan, stats, combiner, p, n_blocks, seed, n_workers=1
-):
+def estimate_lsfd_statistics(instance, plan, stats, combiner, p, n_blocks, seed):
     """Decoding statistics (A_k, b_k) of one combiner.
 
-    MR statistics are exact expectations: n_blocks, seed and n_workers
-    are validated and otherwise unused, and no random numbers are drawn.
-    Local MMSE statistics are Monte Carlo estimates over n_blocks
-    coherence blocks of the given seed, evaluated on n_workers threads
-    with a result that does not depend on n_workers.  Raises
-    FloatingPointError if any step overflows or the statistics are not
-    finite.
+    MR statistics are exact expectations: n_blocks and seed are validated
+    and otherwise unused, and no random numbers are drawn.  Local MMSE
+    statistics are Monte Carlo estimates over n_blocks coherence blocks of
+    the given seed.  Raises FloatingPointError if any step overflows or
+    the statistics are not finite.
     """
     if n_blocks <= 0:
         raise ValueError("n_blocks must be positive")
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     p = np.asarray(p, dtype=float)
@@ -166,7 +144,7 @@ def estimate_lsfd_statistics(
         mean_g, mean_g2, mean_vnorm = _mr_moments(instance, plan, stats)
     else:
         mean_g, mean_g2, mean_vnorm = _lmmse_moments(
-            instance, plan, stats, p, n_blocks, seed, n_workers
+            instance, plan, stats, p, n_blocks, seed
         )
     # per-AP independence: E{g_kil g_kil'^*} = E{g_kil} E{g_kil'}^* for
     # l != l'; the diagonal keeps the second moments

@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, config parsing, and CSV/JSON output."""
 
 import json
+import threading
 from dataclasses import replace
 
 import sparselsfd
@@ -293,8 +294,8 @@ def test_worker_count_invariance(light_summary):
 
 @pytest.mark.parametrize("n_drops", [1, 2])
 def test_summary_csv_identical_across_worker_counts(tmp_path, n_drops):
-    # one drop hands the workers its statistics chunks, two drops run in
-    # the pool; local MMSE's 600 Monte Carlo blocks span three chunks
+    # one drop runs on the calling thread, two drops run in the pool;
+    # local MMSE's 600 Monte Carlo blocks span three chunks
     outputs = set()
     for workers in (1, 2, 3):
         cfg = mini_config(combiners=(Combiner.MR, Combiner.LMMSE), n_blocks=600,
@@ -307,20 +308,25 @@ def test_summary_csv_identical_across_worker_counts(tmp_path, n_drops):
 
 
 def test_thread_pools_not_nested(monkeypatch):
-    # drops in a pool run their statistics serially; a lone drop gets the pool
+    # the only pool runs drops: every statistics chunk of a drop runs on
+    # that drop's thread, and a lone drop runs on the calling thread
     seen = []
-    estimate = sparselsfd.harness.estimate_lsfd_statistics
+    chunk_moments = sparselsfd.uplink._chunk_moments
 
-    def recording(*args, n_workers=1, **kwargs):
-        seen.append(n_workers)
-        return estimate(*args, n_workers=n_workers, **kwargs)
+    def recording(work, p, err_covs, seed, *args):
+        seen.append((seed, threading.get_ident()))
+        return chunk_moments(work, p, err_covs, seed, *args)
 
-    monkeypatch.setattr(sparselsfd.harness, "estimate_lsfd_statistics", recording)
-    run_experiment(mini_config(lambda_grid=(1e-1,), n_workers=3))
-    assert seen == [1, 1]
+    monkeypatch.setattr(sparselsfd.uplink, "_chunk_moments", recording)
+    cfg = mini_config(combiners=(Combiner.LMMSE,), n_blocks=600,
+                      lambda_grid=(1e-1,), n_workers=3)
+    run_experiment(cfg)
+    assert len(seen) == 2 * 3
+    assert len(set(seen)) == 2
+    assert threading.get_ident() not in {ident for _, ident in seen}
     seen.clear()
-    run_experiment(mini_config(lambda_grid=(1e-1,), n_workers=3, n_drops=1))
-    assert seen == [3]
+    run_experiment(replace(cfg, n_drops=1))
+    assert seen == [(cfg.seed, threading.get_ident())] * 3
 
 
 def test_paper_setup_a_completes():
@@ -422,6 +428,9 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     capsys.readouterr()
+    cfg_path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read")
 
 
 @pytest.mark.parametrize("line", [
@@ -437,6 +446,11 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     "network.side_m = nan",
     "network.side_m = inf",
     "network.shadow_std_db = inf",
+    "power.p_c_ue = inf",
+    "power.p_deco = nan",
+    "power.theta = nan",
+    "power.p_proc = -5",
+    "solver.tol_rel = nan",
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"

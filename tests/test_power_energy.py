@@ -1,5 +1,7 @@
 """Tests for association bookkeeping, power control, and the energy model."""
 
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -200,3 +202,8 @@ def test_power_model_validation():
         PowerModel(bandwidth_hz=-1.0)
     with pytest.raises(ValueError):
         PowerModel(p_max_w=0.0)
+    for name in (f.name for f in fields(PowerModel)):
+        for value in (np.inf, np.nan, -5.0):
+            with pytest.raises(ValueError, match=name):
+                PowerModel(**{name: value})
+    PowerModel(theta=0.0, p_circuit_ue_w=0.0, p_deco_w_per_bps=0.0)

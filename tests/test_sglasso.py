@@ -438,3 +438,7 @@ def test_solver_options_validation():
         SolverOptions(lam=-0.5)
     with pytest.raises(ValueError):
         SolverOptions(tol_rel=-1e-9)
+    for name in ("gamma", "lam", "tol_rel"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SolverOptions(**{name: value})

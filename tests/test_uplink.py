@@ -248,8 +248,7 @@ def test_mr_statistics_draw_no_random_numbers(monkeypatch):
         raise AssertionError("MR statistics drew random numbers")
 
     monkeypatch.setattr(pilots, "_substream", no_draws)
-    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 500,
-                                     seed=4, n_workers=2)
+    stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p, 500, seed=4)
     npt.assert_array_equal(stats.A, ref.A)
     npt.assert_array_equal(stats.b, ref.b)
     with pytest.raises(AssertionError, match="drew random numbers"):
@@ -269,20 +268,6 @@ def test_mr_per_block_term_inclusion():
                 total = sum(p[i] * np.abs(np.vdot(v, h[blk, i, l])) ** 2
                             for i in range(3))
                 assert own <= total + 1e-18
-
-
-def test_statistics_worker_count_invariance():
-    # 900 blocks: four chunks, the last one partial
-    inst, plan, est = small_pipeline(seed=23)
-    p = np.array([0.1, 0.02, 0.07])
-    for combiner in (Combiner.MR, Combiner.LMMSE):
-        ref = estimate_lsfd_statistics(inst, plan, est, combiner, p, 900,
-                                       seed=7, n_workers=1)
-        for workers in (1, 2, 3):
-            alt = estimate_lsfd_statistics(inst, plan, est, combiner, p, 900,
-                                           seed=7, n_workers=workers)
-            npt.assert_array_equal(ref.A, alt.A)
-            npt.assert_array_equal(ref.b, alt.b)
 
 
 def contaminated_mr_statistics():
@@ -311,13 +296,12 @@ def test_statistics_validation():
     with pytest.raises(ValueError):
         estimate_lsfd_statistics(inst, plan, est, Combiner.MR,
                                  np.array([-0.1, 0.1, 0.1]), 10, seed=1)
-    # MR uses none of n_blocks, seed and n_workers, but still checks them
+    # MR uses neither n_blocks nor seed, but still checks them
     for combiner in (Combiner.MR, Combiner.LMMSE):
-        for n_blocks, seed, workers in ((0, 1, 1), (10, -1, 1), (10, 1, 0)):
+        for n_blocks, seed in ((0, 1), (10, -1)):
             with pytest.raises(ValueError):
                 estimate_lsfd_statistics(inst, plan, est, combiner,
-                                         np.full(3, 0.1), n_blocks, seed,
-                                         n_workers=workers)
+                                         np.full(3, 0.1), n_blocks, seed)
     with pytest.raises(ValueError):
         estimate_lsfd_statistics(inst, plan, est, "zf", np.full(3, 0.1), 10, 1)
 
@@ -327,8 +311,11 @@ def test_statistics_overflow_raises():
     inst = generate_network(cfg, seed=20)
     plan = assign_pilots(inst.beta, 2)
     est = estimation_stats(inst, plan)
-    for workers in (1, 2):
-        with pytest.raises(FloatingPointError):
-            estimate_lsfd_statistics(inst, plan, est, Combiner.MR,
-                                     np.full(3, 0.1), 300, seed=1,
-                                     n_workers=workers)
+    with pytest.raises(FloatingPointError):
+        estimate_lsfd_statistics(inst, plan, est, Combiner.MR,
+                                 np.full(3, 0.1), 300, seed=1)
+    # local MMSE is scale-free in the gains, so huge powers make its Monte
+    # Carlo chunks overflow, under the errstate of the calling thread
+    with pytest.raises(FloatingPointError, match="overflow"):
+        estimate_lsfd_statistics(inst, plan, est, Combiner.LMMSE,
+                                 np.full(3, 1e200), 300, seed=1)
