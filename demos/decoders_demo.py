@@ -7,7 +7,6 @@ Run:  python3 demos/decoders_demo.py
 import numpy as np
 
 from sparselsfd import (
-    Association,
     Combiner,
     NetworkConfig,
     PowerModel,
@@ -49,21 +48,22 @@ def main():
     plan = assign_pilots(inst.beta, TAU_P)
     est = estimation_stats(inst, plan)
     model = PowerModel()
-    p = fractional_power(inst.beta, [np.arange(cfg.L)] * cfg.K,
-                         model.p_max_w, model.theta)
+    # association masks: assoc[k, l] says that AP l serves UE k
+    full = np.ones((cfg.K, cfg.L), dtype=bool)
+    p = fractional_power(inst.beta, full, model.p_max_w, model.theta)
     stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p,
                                      n_blocks=1000, seed=3)
 
     # Optimal: every AP serves every UE
     a_opt = np.stack([olsfd_weights(stats.A[k], stats.b[k])
                       for k in range(cfg.K)])
-    opt_assoc = Association.full(cfg.K, cfg.L)
+    opt_assoc = full
 
     # Partial: strongest-AP heuristic fixes the association up front
     p_assoc = baseline_association(inst.beta, plan)
     a_part = np.zeros_like(a_opt)
     for k in range(cfg.K):
-        a_part[k] = plsfd_weights(stats.A[k], stats.b[k], p_assoc.serving[k])
+        a_part[k] = plsfd_weights(stats.A[k], stats.b[k], p_assoc[k])
 
     # Sparse: the penalties decide the association
     problem = build_problem(stats)
@@ -81,12 +81,12 @@ def main():
         power = total_power(assoc, p, se_k, model, cfg.N)
         ee = energy_efficiency(se_k, power, model.bandwidth_hz)
         ses = " ".join(f"{v:6.3f}" for v in se_k)
-        print(f"{name}    {assoc.mean_serving():6.1f}      [{ses}]   "
+        print(f"{name}    {assoc.sum(1).mean():6.1f}      [{ses}]   "
               f"{ee / 1e6:8.3f}")
 
     print("\nsparse serving sets (solver chose these, no heuristic):")
     for k in range(cfg.K):
-        print(f"UE {k}: APs {s_assoc.serving[k]}")
+        print(f"UE {k}: APs {np.flatnonzero(s_assoc[k])}")
     print(f"\nsolver: {result.sweeps} sweeps, KKT residual "
           f"{result.kkt_residual:.2e}, converged={result.converged}")
 

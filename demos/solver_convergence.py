@@ -33,7 +33,8 @@ def main():
     inst = generate_network(cfg, seed=9)
     plan = assign_pilots(inst.beta, TAU_P)
     est = estimation_stats(inst, plan)
-    p = fractional_power(inst.beta, [np.arange(cfg.L)] * cfg.K, 0.1, 1.0)
+    p = fractional_power(inst.beta, np.ones((cfg.K, cfg.L), dtype=bool),
+                         0.1, 1.0)
     stats = estimate_lsfd_statistics(inst, plan, est, Combiner.LMMSE, p,
                                      n_blocks=1000, seed=9)
     problem = build_problem(stats)

@@ -28,7 +28,6 @@ from .lsfd import (
 from .network import NetworkConfig, NetworkInstance, generate_network
 from .pilots import PilotPlan, assign_pilots, estimate_channels, estimation_stats
 from .power_energy import (
-    Association,
     PowerModel,
     energy_efficiency,
     extract_association,
@@ -55,7 +54,6 @@ from .uplink import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Association",
     "Combiner",
     "ConfigError",
     "ExperimentConfig",

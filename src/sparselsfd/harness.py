@@ -28,7 +28,6 @@ from .lsfd import baseline_association, olsfd_weights, plsfd_weights, se, sinr
 from .network import NetworkConfig, generate_network
 from .pilots import assign_pilots, estimation_stats
 from .power_energy import (
-    Association,
     PowerModel,
     energy_efficiency,
     extract_association,
@@ -172,7 +171,7 @@ def _describe(exc):
 
 
 def _evaluate(cfg, weights, assoc, stats, n_antennas):
-    """Per-UE SE and the EE of decoding weights (K, L) under an association.
+    """Per-UE SE and the EE of decoding weights (K, L) under an association mask.
 
     All-zero weight rows contribute zero SE.
     """
@@ -195,17 +194,17 @@ def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam
         assoc = extract_association(a)
         se_k, rec.ee = _evaluate(cfg, a, assoc, stats, n_antennas)
         rec.avg_se = float(se_k.mean())
-        rec.mean_serving = assoc.mean_serving()
-        rec.mean_served = assoc.mean_served()
+        rec.mean_serving = float(assoc.sum(axis=1).mean())
+        rec.mean_served = float(assoc.sum(axis=0).mean())
         rec.sweeps = result.sweeps
         rec.kkt_residual = result.kkt_residual
         rec.objective = result.objective
         rec.converged = result.converged
         rec.per_ue_se = se_k
         rec.objective_trace = result.objective_trace
-        if all(m.size for m in assoc.serving):
+        if assoc.any(axis=1).all():
             rec.post_powers = fractional_power(
-                beta, assoc.serving, cfg.power.p_max_w, cfg.power.theta
+                beta, assoc, cfg.power.p_max_w, cfg.power.theta
             )
     except _FAILURES as exc:
         rec.error = _describe(exc)
@@ -216,20 +215,20 @@ def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam
 
 def _baseline_record(cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas):
     """SE and EE of the optimal (all-serve) and partial decoders."""
-    n_ue, n_ap = stats.b.shape
+    n_ue = len(stats.b)
     o_weights = np.array([olsfd_weights(stats.A[k], stats.b[k]) for k in range(n_ue)])
-    o_se, o_ee = _evaluate(cfg, o_weights, Association.full(n_ue, n_ap), stats,
+    o_se, o_ee = _evaluate(cfg, o_weights, np.ones(stats.b.shape, dtype=bool), stats,
                            n_antennas)
     p_assoc = baseline_association(inst.beta, plan)
     p_weights = np.array([
-        plsfd_weights(stats.A[k], stats.b[k], p_assoc.serving[k]) for k in range(n_ue)
+        plsfd_weights(stats.A[k], stats.b[k], p_assoc[k]) for k in range(n_ue)
     ])
     p_se, p_ee = _evaluate(cfg, p_weights, p_assoc, stats, n_antennas)
     return BaselineRecord(
         setup=setup_name, combiner=comb.value, drop=drop, powers=p,
         olsfd_se=o_se, olsfd_ee=o_ee,
         plsfd_se=p_se, plsfd_ee=p_ee,
-        plsfd_mean_serving=p_assoc.mean_serving(),
+        plsfd_mean_serving=float(p_assoc.sum(axis=1).mean()),
     )
 
 
@@ -242,7 +241,7 @@ def _run_drop(cfg, setup, drop):
         inst = generate_network(net_cfg, cfg.seed + drop)
         plan = assign_pilots(inst.beta, cfg.tau_p, rho_p=cfg.rho_p_w, tau_c=cfg.tau_c)
         est = estimation_stats(inst, plan)
-        full = [np.arange(n_ap)] * net_cfg.K
+        full = np.ones((net_cfg.K, n_ap), dtype=bool)
         p = fractional_power(inst.beta, full, cfg.power.p_max_w, cfg.power.theta)
     except _FAILURES as exc:
         drop_error = _describe(exc)
@@ -268,21 +267,19 @@ def _run_drop(cfg, setup, drop):
                 problem = build_problem(stats)
             except _FAILURES as exc:
                 error = _describe(exc)
-        if error is not None:
-            # drop or statistics unusable: mark every grid cell failed, keep going
-            for lam in cfg.lambda_grid:
-                for gam in cfg.gamma_grid:
+        for lam in cfg.lambda_grid:
+            for gam in cfg.gamma_grid:
+                if error is None:
+                    records.append(_run_cell(
+                        cfg, setup_name, comb, problem, stats, inst.beta,
+                        n_antennas, drop, lam, gam,
+                    ))
+                else:
+                    # drop or statistics unusable: the cell fails, the sweep goes on
                     records.append(RunRecord(
                         setup=setup_name, combiner=comb.value, lam=lam,
                         gamma=gam, drop=drop, error=error,
                     ))
-            continue
-        for lam in cfg.lambda_grid:
-            for gam in cfg.gamma_grid:
-                records.append(_run_cell(
-                    cfg, setup_name, comb, problem, stats, inst.beta,
-                    n_antennas, drop, lam, gam,
-                ))
     return baselines, records
 
 
@@ -586,6 +583,13 @@ def _select_setup(cfg, choice):
     return replace(cfg, setups=(cfg.setups[index],))
 
 
+def _make_dir(path):
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="sparselsfd",
@@ -609,6 +613,9 @@ def main(argv=None):
         if args.combiner is not None:
             cfg = replace(cfg, combiners=_parse_combiners(args.combiner))
         cfg = _select_setup(cfg, args.setup)
+        if args.out:
+            # made before the sweep, so an unusable path fails in seconds
+            _make_dir(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

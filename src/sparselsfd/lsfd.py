@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import solve_hermitian_pd
-from .power_energy import Association
 
 
 def sinr(a, big_a, b):
@@ -43,15 +42,13 @@ def olsfd_weights(big_a, b):
 
 
 def plsfd_weights(big_a, b, subset):
-    """Optimal weights restricted to an AP subset, zero elsewhere."""
-    subset = np.asarray(subset, dtype=int)
-    if subset.size == 0:
-        raise ValueError("AP subset must be nonempty")
-    if subset.size != np.unique(subset).size:
-        raise ValueError("AP subset must not repeat indices")
+    """Optimal weights restricted to the APs of an (L,) mask, zero elsewhere."""
     b = np.asarray(b)
-    if np.any(subset < 0) or np.any(subset >= b.size):
-        raise ValueError("AP subset out of range")
+    subset = np.asarray(subset)
+    if subset.dtype != bool or subset.shape != b.shape:
+        raise ValueError("AP subset must be a boolean mask of the length of b")
+    if not subset.any():
+        raise ValueError("AP subset must select at least one AP")
     a = np.zeros_like(b)
     sub = np.ix_(subset, subset)
     a[subset] = solve_hermitian_pd(
@@ -61,24 +58,18 @@ def plsfd_weights(big_a, b, subset):
 
 
 def baseline_association(beta, plan):
-    """Heuristic AP-UE association used by the partial decoder.
+    """Heuristic AP-UE association mask used by the partial decoder.
 
     Every UE is served by its strongest-gain AP; additionally every AP
     serves, for each pilot in use, the strongest-gain UE among that
-    pilot's co-pilot set.
+    pilot's co-pilot set (first maximum on ties).
     """
     beta = np.asarray(beta)
     n_ue, n_ap = beta.shape
-    serving = [set() for _ in range(n_ue)]
-    for k in range(n_ue):
-        serving[k].add(int(np.argmax(beta[k])))
-    for l in range(n_ap):
-        for users in plan.copilot:
-            if not users:
-                continue
-            users = list(users)
-            k = int(users[np.argmax(beta[users, l])])
-            serving[k].add(l)
-    return Association.from_serving(
-        [np.array(sorted(m), dtype=int) for m in serving], n_ap
-    )
+    assoc = np.zeros((n_ue, n_ap), dtype=bool)
+    assoc[np.arange(n_ue), np.argmax(beta, axis=1)] = True
+    for users in plan.copilot:
+        if users:
+            users = np.asarray(users)
+            assoc[users[np.argmax(beta[users], axis=0)], np.arange(n_ap)] = True
+    return assoc

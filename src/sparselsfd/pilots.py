@@ -30,10 +30,9 @@ _TAG_PILOT_NOISE = 2
 
 @dataclass(frozen=True)
 class PilotPlan:
-    """Pilot assignment plus the frame constants it was built for."""
+    """Pilot assignment plus the pilot length and power it was built for."""
 
     tau_p: int
-    tau_c: int
     rho_p: float
     assignment: np.ndarray       # (K,) pilot index of each UE
     copilot: tuple               # per pilot, sorted array of UEs using it
@@ -90,8 +89,7 @@ def assign_pilots(beta, tau_p, rho_p=0.1, tau_c=200):
         for t in range(tau_p)
     )
     return PilotPlan(
-        tau_p=tau_p, tau_c=tau_c, rho_p=rho_p,
-        assignment=assignment, copilot=copilot,
+        tau_p=tau_p, rho_p=rho_p, assignment=assignment, copilot=copilot,
     )
 
 

@@ -1,4 +1,4 @@
-"""Uplink power control, association bookkeeping, and the energy model.
+"""Uplink power control, the association mask, and the energy model.
 
 The end-to-end power consumption splits into UE terms (circuit plus
 amplifier), per-AP terms (antenna circuits plus per-served-UE local
@@ -42,66 +42,30 @@ class PowerModel:
             raise ValueError("bandwidth, p_max and pa_efficiency must be positive")
 
 
-@dataclass(frozen=True)
-class Association:
-    """Bipartite AP-UE association: M_k = serving[k], D_l = served[l]."""
-
-    serving: tuple  # per UE, sorted int array of serving APs
-    served: tuple   # per AP, sorted int array of served UEs
-    n_ap: int
-
-    @classmethod
-    def from_serving(cls, serving, n_ap):
-        served = [[] for _ in range(n_ap)]
-        for k, aps in enumerate(serving):
-            for l in aps:
-                if not 0 <= l < n_ap:
-                    raise ValueError("AP index out of range")
-                served[l].append(k)
-        return cls(
-            serving=tuple(np.array(sorted(m), dtype=int) for m in serving),
-            served=tuple(np.array(d, dtype=int) for d in served),
-            n_ap=n_ap,
-        )
-
-    @classmethod
-    def full(cls, n_ue, n_ap):
-        return cls.from_serving([np.arange(n_ap)] * n_ue, n_ap)
-
-    def mean_serving(self):
-        return float(np.mean([m.size for m in self.serving]))
-
-    def mean_served(self):
-        return float(np.mean([d.size for d in self.served]))
-
-
 def extract_association(a):
-    """Association induced by the nonzero pattern of solution rows.
+    """Association induced by the nonzero pattern of the weights.
 
-    a is the (K, L) weight matrix after zero-snapping; UE k is served by
-    the APs where its row is nonzero.
+    a is the (K, L) weight matrix after zero-snapping; the association is
+    the (K, L) boolean mask whose entry [k, l] says that AP l serves UE k.
     """
-    a = np.asarray(a)
-    serving = [np.flatnonzero(row != 0) for row in a]
-    return Association.from_serving(serving, a.shape[1])
+    return np.asarray(a) != 0
 
 
-def fractional_power(beta, serving, p_max, theta):
+def fractional_power(beta, assoc, p_max, theta):
     """Fractional uplink power control over each UE's serving set.
 
+    assoc is the (K, L) association mask, M_k the APs of its row k:
     p_k = p_max * (min_i sum_{l in M_i} beta_il)^theta
                 / (sum_{l in M_k} beta_kl)^theta.
     """
     beta = np.asarray(beta)
+    assoc = np.asarray(assoc)
     if p_max <= 0:
         raise ValueError("p_max must be positive")
-    sums = []
-    for k, aps in enumerate(serving):
-        aps = np.asarray(aps, dtype=int)
-        if aps.size == 0:
-            raise ValueError(f"UE {k} has an empty serving set")
-        sums.append(beta[k, aps].sum())
-    sums = np.asarray(sums)
+    empty = np.flatnonzero(~assoc.any(axis=1))
+    if empty.size:
+        raise ValueError(f"UE {empty[0]} has an empty serving set")
+    sums = np.array([row[m].sum() for row, m in zip(beta, assoc)])
     if not np.all(np.isfinite(sums) & (sums > 0)):
         raise ValueError("serving-set gains must be finite and positive")
     return p_max * (sums.min() / sums) ** theta
@@ -114,15 +78,14 @@ def total_power(assoc, p, se_values, model, n_antennas):
     if np.any(p < 0) or np.any(se_values < 0):
         raise ValueError("powers and SEs must be nonnegative")
     ue = np.sum(model.p_circuit_ue_w + p / model.pa_efficiency)
-    served = np.array([d.size for d in assoc.served])
+    served = assoc.sum(axis=0)
     ap = np.sum(
         n_antennas * model.p_circuit_ap_w + n_antennas * served * model.p_proc_w
     )
     fronthaul = np.sum(model.p_fix_fh_w + served * model.p_sig_w)
-    serving = np.array([m.size for m in assoc.serving])
     cpu = (
         model.p_fix_cpu_w
-        + np.sum(serving) * model.p_lsfd_w
+        + assoc.sum() * model.p_lsfd_w
         + model.bandwidth_hz * np.sum(se_values) * model.p_deco_w_per_bps
     )
     return float(ue + ap + fronthaul + cpu)

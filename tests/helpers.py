@@ -36,7 +36,7 @@ def compact_pipeline(combiner=Combiner.LMMSE, n_blocks=400, seed=COMPACT_SEED):
     inst = generate_network(cfg, seed=seed)
     plan = assign_pilots(inst.beta, COMPACT_TAU_P)
     est = estimation_stats(inst, plan)
-    full = [np.arange(cfg.L)] * cfg.K
+    full = np.ones((cfg.K, cfg.L), dtype=bool)
     p = fractional_power(inst.beta, full, 0.1, 1.0)
     stats = estimate_lsfd_statistics(inst, plan, est, combiner, p, n_blocks,
                                      seed=seed)

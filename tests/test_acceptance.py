@@ -32,7 +32,7 @@ from sparselsfd import (
     sinr,
 )
 from sparselsfd.harness import CSV_HEADER, main
-from sparselsfd.power_energy import Association, energy_efficiency, total_power
+from sparselsfd.power_energy import energy_efficiency, total_power
 from sparselsfd.sglasso import _group_core, prox_l1
 from sparselsfd.uplink import LsfdStatistics
 
@@ -273,7 +273,7 @@ def test_criterion_7_ordering_properties(desk_report):
 
 def test_criterion_8_energy_model_oracle():
     model = PowerModel()
-    assoc = Association.full(1, 1)
+    assoc = np.ones((1, 1), dtype=bool)
     power = total_power(assoc, np.array([0.1]), np.array([0.95]), model,
                         n_antennas=1)
     ee = energy_efficiency(np.array([0.95]), power, model.bandwidth_hz)

@@ -22,6 +22,7 @@ from sparselsfd import (
     sweep_summary,
     write_outputs,
 )
+from sparselsfd import harness
 from sparselsfd.harness import (
     CSV_HEADER,
     RunReport,
@@ -303,7 +304,8 @@ def test_summary_csv_identical_across_worker_counts(tmp_path, n_drops):
                           n_workers=workers)
         out = tmp_path / f"w{workers}"
         write_outputs(run_experiment(cfg), out)
-        outputs.add((out / "summary.csv").read_bytes())
+        outputs.add(((out / "summary.csv").read_bytes(),
+                     (out / "diagnostics.json").read_bytes()))
     assert len(outputs) == 1
 
 
@@ -407,6 +409,24 @@ def test_cli_run_writes_outputs(tmp_path):
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
+
+
+def test_cli_unusable_out_exit_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG_TEXT)
+
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", no_sweep)
+    for out in (cfg_path / "results", cfg_path):
+        code = main([
+            "run", "--config", str(cfg_path), "--desk-scale", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot create output directory")
+        assert "Traceback" not in captured.err
 
 
 def test_cli_stdout_and_seed_override(tmp_path, capsys):

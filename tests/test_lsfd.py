@@ -13,7 +13,7 @@ from sparselsfd.lsfd import (
     se,
     sinr,
 )
-from sparselsfd.pilots import assign_pilots
+from sparselsfd.pilots import PilotPlan, assign_pilots
 from sparselsfd.sglasso import bcd_solve, build_problem
 from sparselsfd.uplink import LsfdStatistics
 
@@ -164,14 +164,14 @@ def test_se_increasing_in_sinr():
 def test_plsfd_full_subset_is_olsfd():
     rng = np.random.default_rng(7)
     big_a, b = random_instance(rng)
-    npt.assert_allclose(plsfd_weights(big_a, b, np.arange(8)),
+    npt.assert_allclose(plsfd_weights(big_a, b, np.ones(8, dtype=bool)),
                         olsfd_weights(big_a, b), rtol=1e-10)
 
 
 def test_plsfd_singleton():
     rng = np.random.default_rng(8)
     big_a, b = random_instance(rng)
-    a = plsfd_weights(big_a, b, np.array([3]))
+    a = plsfd_weights(big_a, b, np.arange(8) == 3)
     assert np.count_nonzero(a) == 1
     expected = np.abs(b[3]) ** 2 / (big_a[3, 3].real - np.abs(b[3]) ** 2)
     npt.assert_allclose(sinr(a, big_a, b), expected, rtol=1e-10)
@@ -187,7 +187,7 @@ def test_plsfd_monotone_under_inclusion():
         )
         values = {}
         for sub in subsets:
-            values[sub] = sinr(plsfd_weights(big_a, b, np.array(sub)),
+            values[sub] = sinr(plsfd_weights(big_a, b, np.isin(np.arange(4), sub)),
                                big_a, b)
             assert values[sub] <= full * (1.0 + 1e-10)
         for sub, v in values.items():
@@ -199,12 +199,14 @@ def test_plsfd_monotone_under_inclusion():
 def test_plsfd_validation():
     rng = np.random.default_rng(10)
     big_a, b = random_instance(rng)
-    with pytest.raises(ValueError):
-        plsfd_weights(big_a, b, np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        plsfd_weights(big_a, b, np.array([1, 1]))
-    with pytest.raises(ValueError):
-        plsfd_weights(big_a, b, np.array([8]))
+    with pytest.raises(ValueError, match="at least one AP"):
+        plsfd_weights(big_a, b, np.zeros(8, dtype=bool))
+    for size in (7, 9):
+        with pytest.raises(ValueError, match="length of b"):
+            plsfd_weights(big_a, b, np.ones(size, dtype=bool))
+    # AP indices are not a mask
+    with pytest.raises(ValueError, match="boolean mask"):
+        plsfd_weights(big_a, b, np.arange(8))
 
 
 def test_baseline_association_structure():
@@ -212,9 +214,10 @@ def test_baseline_association_structure():
     inst = generate_network(cfg, seed=11)
     plan = assign_pilots(inst.beta, 3)
     assoc = baseline_association(inst.beta, plan)
+    assert assoc.shape == (8, 6) and assoc.dtype == bool
     # every UE keeps its strongest AP
     for k in range(8):
-        assert int(np.argmax(inst.beta[k])) in assoc.serving[k]
+        assert assoc[k, int(np.argmax(inst.beta[k]))]
     # every AP serves its strongest co-pilot UE per pilot
     for l in range(6):
         for users in plan.copilot:
@@ -222,11 +225,40 @@ def test_baseline_association_structure():
                 continue
             users = list(users)
             k = users[int(np.argmax(inst.beta[users, l]))]
-            assert l in assoc.serving[k]
-    # bidirectional consistency
-    for k in range(8):
-        for l in assoc.serving[k]:
-            assert k in assoc.served[l]
-    for l in range(6):
-        for k in assoc.served[l]:
-            assert l in assoc.serving[k]
+            assert assoc[k, l]
+
+
+def loop_baseline_association(beta, plan):
+    """The baseline rule read literally: one argmax per UE, per AP and pilot."""
+    n_ue, n_ap = beta.shape
+    assoc = np.zeros((n_ue, n_ap), dtype=bool)
+    for k in range(n_ue):
+        assoc[k, int(np.argmax(beta[k]))] = True
+    for l in range(n_ap):
+        for users in plan.copilot:
+            if not users:
+                continue
+            users = list(users)
+            assoc[users[int(np.argmax(beta[users, l]))], l] = True
+    return assoc
+
+
+def test_baseline_association_matches_per_ap_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        n_ue, n_ap = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        tau_p = int(rng.integers(1, 6))
+        if trial % 2:
+            beta = 10.0 ** rng.uniform(-9, -5, (n_ue, n_ap))
+        else:
+            # few distinct gains: ties, broken towards the first maximum
+            beta = rng.integers(1, 4, (n_ue, n_ap)).astype(float)
+        # greedy plans (K > tau_p shares pilots, K < tau_p leaves some
+        # unused) and random plans that can leave any pilot unused
+        assignment = rng.integers(0, tau_p, n_ue)
+        copilot = tuple(tuple(np.flatnonzero(assignment == t)) for t in range(tau_p))
+        for plan in (assign_pilots(beta, tau_p),
+                     PilotPlan(tau_p=tau_p, rho_p=0.1, assignment=assignment,
+                               copilot=copilot)):
+            npt.assert_array_equal(baseline_association(beta, plan),
+                                   loop_baseline_association(beta, plan))

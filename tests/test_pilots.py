@@ -33,7 +33,7 @@ def scalar_instance(betas, rho_p=0.1, tau_p=1, assignment=None):
     copilot = tuple(
         tuple(np.flatnonzero(assignment == t)) for t in range(tau_p)
     )
-    plan = PilotPlan(tau_p=tau_p, tau_c=200, rho_p=rho_p,
+    plan = PilotPlan(tau_p=tau_p, rho_p=rho_p,
                      assignment=np.asarray(assignment), copilot=copilot)
     return Inst(), plan
 

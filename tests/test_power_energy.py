@@ -1,4 +1,4 @@
-"""Tests for association bookkeeping, power control, and the energy model."""
+"""Tests for the association mask, power control, and the energy model."""
 
 from dataclasses import fields
 
@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from sparselsfd import (
-    Association,
     PowerModel,
     energy_efficiency,
     extract_association,
@@ -21,73 +20,60 @@ from sparselsfd import (
 def test_extract_association_dense():
     a = np.ones((3, 5), dtype=complex)
     assoc = extract_association(a)
-    assert assoc.n_ap == 5
-    for m in assoc.serving:
-        npt.assert_array_equal(m, np.arange(5))
-    for d in assoc.served:
-        npt.assert_array_equal(d, np.arange(3))
+    assert assoc.dtype == bool
+    npt.assert_array_equal(assoc, np.ones((3, 5), dtype=bool))
+    npt.assert_array_equal(assoc.sum(axis=1), [5, 5, 5])
+    npt.assert_array_equal(assoc.sum(axis=0), [3] * 5)
 
 
 def test_extract_association_zero_row():
     a = np.zeros((2, 4), dtype=complex)
     a[1, [0, 3]] = 1.0 + 1.0j
     assoc = extract_association(a)
-    assert assoc.serving[0].size == 0
-    npt.assert_array_equal(assoc.serving[1], [0, 3])
-    npt.assert_array_equal(assoc.served[0], [1])
-    assert assoc.served[1].size == 0
-    assert assoc.served[2].size == 0
-    npt.assert_array_equal(assoc.served[3], [1])
+    assert not assoc[0].any()
+    npt.assert_array_equal(np.flatnonzero(assoc[1]), [0, 3])
+    npt.assert_array_equal(np.flatnonzero(assoc[:, 0]), [1])
+    assert not assoc[:, 1].any()
+    assert not assoc[:, 2].any()
+    npt.assert_array_equal(np.flatnonzero(assoc[:, 3]), [1])
 
 
 def test_extract_association_pattern():
     a = np.array([[0.0, 1.0j, 0.0], [2.0, 0.0, -1.0]])
     assoc = extract_association(a)
-    npt.assert_array_equal(assoc.serving[0], [1])
-    npt.assert_array_equal(assoc.serving[1], [0, 2])
-    assert assoc.mean_serving() == 1.5
-    assert assoc.mean_served() == 1.0
+    npt.assert_array_equal(np.flatnonzero(assoc[0]), [1])
+    npt.assert_array_equal(np.flatnonzero(assoc[1]), [0, 2])
+    assert assoc.sum(axis=1).mean() == 1.5
+    assert assoc.sum(axis=0).mean() == 1.0
 
 
 def test_association_bidirectional_consistency():
+    # serving sets are the rows of the mask, served sets its columns
     rng = np.random.default_rng(30)
     for _ in range(50):
         n_ue, n_ap = rng.integers(1, 6), rng.integers(1, 8)
         mask = rng.random((n_ue, n_ap)) < 0.4
         assoc = extract_association(mask.astype(float))
-        for k in range(n_ue):
-            for l in range(n_ap):
-                assert (l in assoc.serving[k]) == (k in assoc.served[l])
-                assert (l in assoc.serving[k]) == mask[k, l]
+        npt.assert_array_equal(assoc, mask)
         assert np.isclose(
-            assoc.mean_serving() * n_ue, assoc.mean_served() * n_ap
+            assoc.sum(axis=1).mean() * n_ue, assoc.sum(axis=0).mean() * n_ap
         )
-
-
-def test_association_full_and_validation():
-    assoc = Association.full(3, 7)
-    assert assoc.mean_serving() == 7.0
-    assert assoc.mean_served() == 3.0
-    with pytest.raises(ValueError):
-        Association.from_serving([[0, 9]], n_ap=4)
-    with pytest.raises(ValueError):
-        Association.from_serving([[-1]], n_ap=4)
 
 
 # -------------------------------------------------------------- power control
 
 def test_fractional_power_theta_zero_is_pmax():
     beta = np.array([[1.0, 2.0], [0.1, 0.3]])
-    serving = [np.array([0, 1]), np.array([0, 1])]
-    p = fractional_power(beta, serving, p_max=0.1, theta=0.0)
+    assoc = np.ones((2, 2), dtype=bool)
+    p = fractional_power(beta, assoc, p_max=0.1, theta=0.0)
     npt.assert_allclose(p, [0.1, 0.1])
 
 
 def test_fractional_power_two_user_example():
     # serving-set gains sum to 0.1 and 0.2: weaker UE transmits at p_max
     beta = np.array([[0.1], [0.2]])
-    serving = [np.array([0]), np.array([0])]
-    p = fractional_power(beta, serving, p_max=0.1, theta=1.0)
+    assoc = np.ones((2, 1), dtype=bool)
+    p = fractional_power(beta, assoc, p_max=0.1, theta=1.0)
     npt.assert_allclose(p, [0.1, 0.05])
 
 
@@ -96,24 +82,28 @@ def test_fractional_power_properties():
     for _ in range(40):
         n_ue, n_ap = int(rng.integers(2, 7)), int(rng.integers(2, 9))
         beta = 10.0 ** rng.uniform(-8, -4, size=(n_ue, n_ap))
-        serving = [
-            rng.choice(n_ap, size=int(rng.integers(1, n_ap + 1)), replace=False)
-            for _ in range(n_ue)
-        ]
+        assoc = np.zeros((n_ue, n_ap), dtype=bool)
+        for k in range(n_ue):
+            size = int(rng.integers(1, n_ap + 1))
+            assoc[k, rng.choice(n_ap, size=size, replace=False)] = True
         theta = float(rng.uniform(0.0, 1.0))
-        p = fractional_power(beta, serving, p_max=0.1, theta=theta)
+        p = fractional_power(beta, assoc, p_max=0.1, theta=theta)
         assert np.all(p > 0)
         assert np.all(p <= 0.1 + 1e-15)
-        sums = np.array([beta[k, m].sum() for k, m in enumerate(serving)])
+        sums = np.array([beta[k, np.flatnonzero(m)].sum() for k, m in enumerate(assoc)])
         assert p[np.argmin(sums)] == pytest.approx(0.1)
 
 
 def test_fractional_power_rejects_empty_set():
     beta = np.ones((2, 3))
+    assoc = np.array([[True, False, False], [False, False, False]])
+    with pytest.raises(ValueError, match="UE 1 has an empty serving set"):
+        fractional_power(beta, assoc, 0.1, 1.0)
+    # the first empty row is named
+    with pytest.raises(ValueError, match="UE 0 has"):
+        fractional_power(beta, np.zeros((2, 3), dtype=bool), 0.1, 1.0)
     with pytest.raises(ValueError):
-        fractional_power(beta, [np.array([0]), np.array([], dtype=int)], 0.1, 1.0)
-    with pytest.raises(ValueError):
-        fractional_power(beta, [np.array([0]), np.array([1])], 0.0, 1.0)
+        fractional_power(beta, np.eye(2, 3, dtype=bool), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("gain", [np.inf, np.nan, 0.0])
@@ -121,7 +111,7 @@ def test_fractional_power_rejects_bad_gains(gain):
     # checked before the ratio of gain sums, which would be nan or inf
     beta = np.array([[1.0, 2.0], [gain, gain]])
     with pytest.raises(ValueError, match="finite and positive"):
-        fractional_power(beta, [np.array([0, 1])] * 2, 0.1, 1.0)
+        fractional_power(beta, np.ones((2, 2), dtype=bool), 0.1, 1.0)
 
 
 # --------------------------------------------------------------- energy model
@@ -131,7 +121,7 @@ def test_total_power_single_link_sum():
     # UE 0.1 + 0.1/0.4, AP 0.2 + 0.8, fronthaul 0.825 + 0.01,
     # CPU 5 + 1 + 20e6 * 0.95 * 1e-9
     model = PowerModel()
-    assoc = Association.full(1, 1)
+    assoc = np.ones((1, 1), dtype=bool)
     pw = total_power(assoc, np.array([0.1]), np.array([0.95]), model, n_antennas=1)
     assert pw == pytest.approx(8.204, abs=1e-12)
     ee = energy_efficiency(np.array([0.95]), pw, model.bandwidth_hz)
@@ -140,7 +130,7 @@ def test_total_power_single_link_sum():
 
 def test_total_power_empty_association_floor():
     model = PowerModel()
-    assoc = Association.from_serving([[] for _ in range(4)], n_ap=6)
+    assoc = np.zeros((4, 6), dtype=bool)
     pw = total_power(assoc, np.zeros(4), np.zeros(4), model, n_antennas=2)
     floor = (
         4 * model.p_circuit_ue_w
@@ -176,7 +166,7 @@ def test_total_power_per_link_increment():
 
 def test_total_power_validation():
     model = PowerModel()
-    assoc = Association.full(2, 2)
+    assoc = np.ones((2, 2), dtype=bool)
     with pytest.raises(ValueError):
         total_power(assoc, np.array([-0.1, 0.1]), np.zeros(2), model, 1)
     with pytest.raises(ValueError):
