@@ -311,34 +311,21 @@ def sweep_summary(report):
     The drop column holds the number of drops averaged.  Returns a list of
     strings starting with the header.
     """
-    cfg = report.config
     groups = {}
     for rec in report.records:
         groups.setdefault((rec.setup, rec.combiner, rec.lam, rec.gamma), []).append(rec)
     rows = [CSV_HEADER]
-    for n_ap, n_antennas in cfg.setups:
-        setup_name = f"L{n_ap}N{n_antennas}"
-        for comb in cfg.combiners:
-            for lam in cfg.lambda_grid:
-                for gam in cfg.gamma_grid:
-                    recs = groups.get((setup_name, comb.value, lam, gam), [])
-                    if not recs:
-                        continue
-                    mean = lambda attr: np.mean([getattr(r, attr) for r in recs])
-                    rows.append(",".join([
-                        setup_name,
-                        comb.value,
-                        _fmt(lam),
-                        _fmt(gam),
-                        str(len(recs)),
-                        _fmt(mean("avg_se")),
-                        _fmt(mean("ee")),
-                        _fmt(mean("mean_serving")),
-                        _fmt(mean("mean_served")),
-                        _fmt(mean("sweeps")),
-                        _fmt(mean("kkt_residual")),
-                        _fmt(mean("wall_ms")),
-                    ]))
+    # records arrive setup by setup and drop 0 covers every cell, so
+    # first-seen order is the (setup, combiner, lambda, gamma) grid order
+    for (setup_name, comb, lam, gam), recs in groups.items():
+        means = [np.mean([getattr(r, attr) for r in recs]) for attr in (
+            "avg_se", "ee", "mean_serving", "mean_served", "sweeps",
+            "kkt_residual", "wall_ms",
+        )]
+        rows.append(",".join(
+            [setup_name, comb, _fmt(lam), _fmt(gam), str(len(recs))]
+            + [_fmt(m) for m in means]
+        ))
     return rows
 
 

@@ -50,10 +50,7 @@ def plsfd_weights(big_a, b, subset):
     if not subset.any():
         raise ValueError("AP subset must select at least one AP")
     a = np.zeros_like(b)
-    sub = np.ix_(subset, subset)
-    a[subset] = solve_hermitian_pd(
-        big_a[sub] - np.outer(b[subset], b[subset].conj()), b[subset]
-    )
+    a[subset] = olsfd_weights(big_a[np.ix_(subset, subset)], b[subset])
     return a
 
 

@@ -9,7 +9,10 @@ C = R - B.
 Randomness contract: channel and pilot-noise realizations are drawn from
 substreams keyed by (seed, tag, link, chunk) with a fixed block chunk
 size, so any evaluation order reproduces identical blocks, and block b
-of a given link never depends on how many blocks are requested.
+of a given link never depends on how many blocks are requested.  This
+module alone owns the contract: `draw_blocks` is the one loop over block
+chunks, and every Monte Carlo consumer (`estimate_channels`, the local
+MMSE statistics in `uplink`) iterates over it.
 """
 
 from __future__ import annotations
@@ -111,18 +114,6 @@ def estimation_stats(instance, plan):
     return EstimationStats(Psi=psi, B=big_b, C=instance.R - big_b)
 
 
-class _DrawWork:
-    """Precomputed per-link factors reused across chunk draws."""
-
-    def __init__(self, instance, plan, stats):
-        self.cfg = instance.cfg
-        self.plan = plan
-        scale = plan.tau_p * plan.rho_p
-        self.sqrt_r = hermitian_sqrt(instance.R)
-        # sqrt(tau_p rho_p) R Psi^-1 per link
-        self.est = np.sqrt(scale) * instance.R @ np.linalg.inv(stats.Psi)
-
-
 def _complex_normal(rng, shape):
     """CN(0, 1) iid samples, interleaved so leading blocks are prefix-stable."""
     return rng.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
@@ -132,29 +123,40 @@ def _substream(seed, tag, i, j, chunk):
     return np.random.default_rng(np.random.SeedSequence([seed, tag, i, j, chunk]))
 
 
-def _draw_ap(work, seed, chunk, l, n_in_chunk):
-    """Channels and MMSE estimates at AP l for blocks of one chunk.
+def draw_blocks(instance, plan, stats, seed, n_blocks):
+    """Iterate over channel draws and their MMSE estimates, one AP at a time.
 
-    Returns (h, h_hat) of shape (n_in_chunk, K, N).
+    Yields (rows, l, h, h_hat) chunk by chunk, and AP by AP within a chunk:
+    rows is the slice of block indices of the chunk, and h, h_hat are the
+    (rows, K, N) channels and estimates at AP l.  This is the only loop
+    over block chunks, so every consumer sees the same blocks.
     """
-    cfg = work.cfg
-    plan = work.plan
-    h = np.empty((n_in_chunk, cfg.K, cfg.N), dtype=complex)
-    for k in range(cfg.K):
-        rng = _substream(seed, _TAG_CHANNEL, k, l, chunk)
-        z = _complex_normal(rng, (n_in_chunk, cfg.N))
-        h[:, k] = z @ work.sqrt_r[k, l].T
+    if n_blocks <= 0:
+        raise ValueError("n_blocks must be positive")
+    cfg = instance.cfg
     amp = np.sqrt(plan.tau_p * plan.rho_p)
-    h_hat = np.empty_like(h)
-    for t, users in enumerate(plan.copilot):
-        if not users:
-            continue
-        rng = _substream(seed, _TAG_PILOT_NOISE, t, l, chunk)
-        noise = np.sqrt(cfg.noise_var) * _complex_normal(rng, (n_in_chunk, cfg.N))
-        y = amp * h[:, list(users)].sum(axis=1) + noise
-        for k in users:
-            h_hat[:, k] = y @ work.est[k, l].T
-    return h, h_hat
+    sqrt_r = hermitian_sqrt(instance.R)
+    # sqrt(tau_p rho_p) R Psi^-1 per link
+    est = amp * instance.R @ np.linalg.inv(stats.Psi)
+    for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK)):
+        rows = slice(start, min(start + BLOCK_CHUNK, n_blocks))
+        n_in_chunk = rows.stop - start
+        for l in range(cfg.L):
+            h = np.empty((n_in_chunk, cfg.K, cfg.N), dtype=complex)
+            for k in range(cfg.K):
+                rng = _substream(seed, _TAG_CHANNEL, k, l, chunk)
+                z = _complex_normal(rng, (n_in_chunk, cfg.N))
+                h[:, k] = z @ sqrt_r[k, l].T
+            h_hat = np.empty_like(h)
+            for t, users in enumerate(plan.copilot):
+                if not users:
+                    continue
+                rng = _substream(seed, _TAG_PILOT_NOISE, t, l, chunk)
+                noise = _complex_normal(rng, (n_in_chunk, cfg.N))
+                y = amp * h[:, list(users)].sum(axis=1) + np.sqrt(cfg.noise_var) * noise
+                for k in users:
+                    h_hat[:, k] = y @ est[k, l].T
+            yield rows, l, h, h_hat
 
 
 def estimate_channels(instance, plan, stats, seed, n_blocks=1):
@@ -165,14 +167,10 @@ def estimate_channels(instance, plan, stats, seed, n_blocks=1):
     """
     if n_blocks <= 0:
         raise ValueError("n_blocks must be positive")
-    work = _DrawWork(instance, plan, stats)
     cfg = instance.cfg
     h = np.empty((n_blocks, cfg.K, cfg.L, cfg.N), dtype=complex)
     h_hat = np.empty_like(h)
-    for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK)):
-        stop = min(start + BLOCK_CHUNK, n_blocks)
-        for l in range(cfg.L):
-            h[start:stop, :, l], h_hat[start:stop, :, l] = _draw_ap(
-                work, seed, chunk, l, stop - start
-            )
+    for rows, l, h_l, h_hat_l in draw_blocks(instance, plan, stats, seed, n_blocks):
+        h[rows, :, l] = h_l
+        h_hat[rows, :, l] = h_hat_l
     return h, h_hat

@@ -71,8 +71,12 @@ def fractional_power(beta, assoc, p_max, theta):
     return p_max * (sums.min() / sums) ** theta
 
 
+@np.errstate(over="raise", invalid="raise")
 def total_power(assoc, p, se_values, model, n_antennas):
-    """End-to-end consumed power in watts for one drop."""
+    """End-to-end consumed power in watts for one drop.
+
+    Raises FloatingPointError if the total overflows.
+    """
     p = np.asarray(p, dtype=float)
     se_values = np.asarray(se_values, dtype=float)
     if np.any(p < 0) or np.any(se_values < 0):
@@ -88,11 +92,20 @@ def total_power(assoc, p, se_values, model, n_antennas):
         + assoc.sum() * model.p_lsfd_w
         + model.bandwidth_hz * np.sum(se_values) * model.p_deco_w_per_bps
     )
-    return float(ue + ap + fronthaul + cpu)
+    total = float(ue + ap + fronthaul + cpu)
+    if not np.isfinite(total):
+        # a Python-float product such as n_antennas * p_circuit_ap_w
+        # overflows to inf without a floating-point error
+        raise FloatingPointError("total power is not finite")
+    return total
 
 
+@np.errstate(over="raise", invalid="raise")
 def energy_efficiency(se_values, power_w, bandwidth_hz):
-    """Energy efficiency in bit/J: bandwidth * sum SE / total power."""
+    """Energy efficiency in bit/J: bandwidth * sum SE / total power.
+
+    Raises FloatingPointError if the product overflows.
+    """
     if power_w <= 0:
         raise ValueError("total power must be positive")
     return float(bandwidth_hz * np.sum(se_values) / power_w)

@@ -25,10 +25,11 @@ The second follows from E|x^H Q x|^2 = |tr Q S|^2 + tr(Q S Q^H S) for a
 circular Gaussian x with covariance S.  MR draws no random numbers.
 
 Local MMSE has no closed form, so its moments are Monte Carlo sample
-means over coherence blocks, drawn one AP at a time under the randomness
-contract of `pilots` (never an L x L sample outer product).  Per-chunk
-partial sums are added in chunk order, so a given seed and block count
-always give bit-identical results.
+means over coherence blocks (never an L x L sample outer product).  The
+draws come one AP and one block chunk at a time from
+`pilots.draw_blocks`, which alone owns the randomness contract; each
+chunk's sums are added to running sums in chunk order, so a given seed
+and block count always give bit-identical results.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import herm
-from .pilots import BLOCK_CHUNK, _DrawWork, _draw_ap
+from .pilots import draw_blocks
 
 
 class Combiner(enum.Enum):
@@ -74,36 +75,26 @@ def lmmse_combiner(h_hats, error_covs, p, noise_var):
     return np.swapaxes(np.linalg.solve(m, ht) * p, -1, -2)
 
 
-def _chunk_moments(work, p, err_covs, seed, chunk, n_in_chunk):
-    """Local MMSE per-AP partial sums over one chunk, one AP at a time.
-
-    Returns (sum_g, sum_g2, sum_vnorm): sums over blocks of g[l, k, i] =
-    v_kl^H h_il and of |g[l, k, i]|^2, each (L, K, K), and of ||v_kl||^2
-    as (L, K).
-    """
-    cfg = work.cfg
-    sum_g = np.empty((cfg.L, cfg.K, cfg.K), dtype=complex)
-    sum_g2 = np.empty((cfg.L, cfg.K, cfg.K))
-    sum_vnorm = np.empty((cfg.L, cfg.K))
-    for l in range(cfg.L):
-        h, h_hat = _draw_ap(work, seed, chunk, l, n_in_chunk)  # (blocks, K, N)
-        v = lmmse_combiner(h_hat, err_covs[:, l], p, cfg.noise_var)
-        g = v.conj() @ np.swapaxes(h, 1, 2)  # (blocks, K, K)
-        sum_g[l] = g.sum(axis=0)
-        sum_g2[l] = (g.real**2 + g.imag**2).sum(axis=0)
-        sum_vnorm[l] = (v.real**2 + v.imag**2).sum(axis=(0, 2))
-    return sum_g, sum_g2, sum_vnorm
-
-
 def _lmmse_moments(instance, plan, stats, p, n_blocks, seed):
-    """Monte Carlo per-AP moments of local MMSE over n_blocks blocks."""
-    work = _DrawWork(instance, plan, stats)
-    parts = [
-        _chunk_moments(work, p, stats.C, seed, chunk,
-                       min(start + BLOCK_CHUNK, n_blocks) - start)
-        for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK))
-    ]
-    return tuple(sum(part[i] for part in parts) / n_blocks for i in range(3))
+    """Monte Carlo per-AP moments of local MMSE over n_blocks blocks.
+
+    Returns the sample means of g[l, k, i] = v_kl^H h_il and |g[l, k, i]|^2,
+    each (L, K, K), and of ||v_kl||^2 as (L, K).  Each AP's per-chunk sums
+    are added to running sums in chunk order.
+    """
+    cfg = instance.cfg
+    sum_g = np.zeros((cfg.L, cfg.K, cfg.K), dtype=complex)
+    sum_g2 = np.zeros((cfg.L, cfg.K, cfg.K))
+    sum_vnorm = np.zeros((cfg.L, cfg.K))
+    for _, l, h, h_hat in draw_blocks(instance, plan, stats, seed, n_blocks):
+        v = lmmse_combiner(h_hat, stats.C[:, l], p, cfg.noise_var)  # (blocks, K, N)
+        g = v.conj() @ np.swapaxes(h, 1, 2)  # (blocks, K, K)
+        sum_g[l] += g.sum(axis=0)
+        sum_g2[l] += (g.real**2 + g.imag**2).sum(axis=0)
+        sum_vnorm[l] += (v.real**2 + v.imag**2).sum(axis=(0, 2))
+    for total in (sum_g, sum_g2, sum_vnorm):
+        total /= n_blocks
+    return sum_g, sum_g2, sum_vnorm
 
 
 def _mr_moments(instance, plan, stats):

@@ -310,25 +310,27 @@ def test_summary_csv_identical_across_worker_counts(tmp_path, n_drops):
 
 
 def test_thread_pools_not_nested(monkeypatch):
-    # the only pool runs drops: every statistics chunk of a drop runs on
-    # that drop's thread, and a lone drop runs on the calling thread
+    # the only pool runs drops: every Monte Carlo draw of a drop runs on
+    # that drop's thread, and a lone drop's draws run on the calling thread
     seen = []
-    chunk_moments = sparselsfd.uplink._chunk_moments
+    draw_blocks = sparselsfd.uplink.draw_blocks
 
-    def recording(work, p, err_covs, seed, *args):
-        seen.append((seed, threading.get_ident()))
-        return chunk_moments(work, p, err_covs, seed, *args)
+    def recording(instance, plan, stats, seed, n_blocks):
+        for draw in draw_blocks(instance, plan, stats, seed, n_blocks):
+            seen.append((seed, threading.get_ident()))
+            yield draw
 
-    monkeypatch.setattr(sparselsfd.uplink, "_chunk_moments", recording)
+    monkeypatch.setattr(sparselsfd.uplink, "draw_blocks", recording)
     cfg = mini_config(combiners=(Combiner.LMMSE,), n_blocks=600,
                       lambda_grid=(1e-1,), n_workers=3)
     run_experiment(cfg)
-    assert len(seen) == 2 * 3
+    draws_per_drop = 3 * cfg.setups[0][0]  # three chunks of every AP
+    assert len(seen) == 2 * draws_per_drop
     assert len(set(seen)) == 2
     assert threading.get_ident() not in {ident for _, ident in seen}
     seen.clear()
     run_experiment(replace(cfg, n_drops=1))
-    assert seen == [(cfg.seed, threading.get_ident())] * 3
+    assert seen == [(cfg.seed, threading.get_ident())] * draws_per_drop
 
 
 def test_paper_setup_a_completes():
@@ -561,3 +563,29 @@ def test_cli_bad_network_drop_exit_3(tmp_path, capsys, line, error):
     errors |= {cell["error"] for cell in diag["cells"]}
     assert len(errors) == 1 and error in errors.pop()
     assert all(base["powers_w"] is None for base in diag["baselines"])
+
+
+@pytest.mark.parametrize("line", [
+    "power.bandwidth_hz = 1e308",
+    "power.p_proc = 1e308",
+    "power.p_c_ue = 1e308",
+    "power.p_lsfd = 1e308",
+    "power.eta = 1e-320",
+    # 2 antennas x 1e308 W overflows a Python float, with no numpy warning
+    "power.p_c_ap = 1e308",
+])
+def test_cli_power_overflow_exit_3(tmp_path, capsys, line):
+    # the power model overflows: the baselines and cells record the
+    # failure instead of writing a nan or zero energy efficiency
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text(MINI_CFG_TEXT + line + "\n")
+    out = tmp_path / "results"
+    code = main(["run", "--config", str(cfg_path), "--desk-scale", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    with open(out / "diagnostics.json") as fh:
+        diag = json.load(fh, parse_constant=reject_constant)
+    assert diag["failures"] == len(diag["cells"]) > 0
+    assert all("FloatingPointError" in base["error"] for base in diag["baselines"])
+    assert all(cell["ee_bit_per_joule"] is None for cell in diag["cells"])

@@ -10,9 +10,9 @@ from sparselsfd.pilots import (
     _TAG_PILOT_NOISE,
     BLOCK_CHUNK,
     PilotPlan,
-    _DrawWork,
     _substream,
     assign_pilots,
+    draw_blocks,
     estimate_channels,
     estimation_stats,
 )
@@ -191,20 +191,6 @@ def contaminated_setup():
     return inst, plan, estimation_stats(inst, plan)
 
 
-def test_draw_factors_match_per_link():
-    inst, plan, stats = contaminated_setup()
-    work = _DrawWork(inst, plan, stats)
-    scale = np.sqrt(plan.tau_p * plan.rho_p)
-    for k in range(inst.cfg.K):
-        for l in range(inst.cfg.L):
-            r = inst.R[k, l]
-            npt.assert_allclose(work.sqrt_r[k, l], hermitian_sqrt(r),
-                                rtol=1e-12, atol=1e-12 * np.abs(r).max())
-            est = scale * r @ np.linalg.inv(stats.Psi[k, l])
-            npt.assert_allclose(work.est[k, l], est, rtol=1e-12,
-                                atol=1e-12 * np.abs(est).max())
-
-
 def test_estimate_channels_follow_substreams():
     # the randomness contract, rebuilt link by link: channel substreams keyed
     # by (seed, channel tag, UE, AP, chunk), pilot noise by (seed, noise
@@ -233,6 +219,29 @@ def test_estimate_channels_follow_substreams():
                 for k in users:
                     est = amp * inst.R[k, l] @ np.linalg.inv(stats.Psi[k, l])
                     npt.assert_allclose(h_hat[rows, k, l], y @ est.T, rtol=1e-12)
+
+
+def test_draw_blocks_chunk_then_ap_order():
+    inst, plan, stats = contaminated_setup()
+    n_blocks = BLOCK_CHUNK + 40
+    h, h_hat = estimate_channels(inst, plan, stats, seed=15, n_blocks=n_blocks)
+    order = []
+    for rows, l, h_l, h_hat_l in draw_blocks(inst, plan, stats, 15, n_blocks):
+        order.append((rows.start, rows.stop, l))
+        npt.assert_array_equal(h_l, h[rows, :, l])
+        npt.assert_array_equal(h_hat_l, h_hat[rows, :, l])
+    assert order == [(start, stop, l)
+                     for start, stop in ((0, BLOCK_CHUNK), (BLOCK_CHUNK, n_blocks))
+                     for l in range(inst.cfg.L)]
+
+
+@pytest.mark.parametrize("n_blocks", [0, -1])
+def test_draws_need_a_positive_block_count(n_blocks):
+    inst, plan, stats = contaminated_setup()
+    with pytest.raises(ValueError, match="n_blocks must be positive"):
+        estimate_channels(inst, plan, stats, seed=1, n_blocks=n_blocks)
+    with pytest.raises(ValueError, match="n_blocks must be positive"):
+        next(draw_blocks(inst, plan, stats, 1, n_blocks))
 
 
 def test_plan_validation():
