@@ -5,7 +5,8 @@ Per drop: generate a network, assign pilots, estimate statistics under
 full-association fractional powers, evaluate the closed-form decoders,
 then solve the sparse design at every grid point.  Results land in a CSV
 summary (one drop-averaged row per setup/combiner/grid point) and a strict
-JSON diagnostics file (schema 2) with objective traces and per-UE SE arrays.
+JSON diagnostics file (schema 3) with objective traces, per-UE SE arrays
+and the Monte Carlo error bar of each drop's statistics.
 
 Exit codes: 0 success, 2 configuration error, 3 failure in any cell
 (failed drops and cells are recorded and the sweep continues).
@@ -133,6 +134,7 @@ class BaselineRecord:
     plsfd_se: np.ndarray = None
     plsfd_ee: float = np.nan
     plsfd_mean_serving: float = np.nan
+    b_max_rel_stderr: float = np.nan
     error: str = None
 
 
@@ -213,6 +215,15 @@ def _run_cell(cfg, setup_name, comb, problem, stats, beta, n_antennas, drop, lam
     return rec
 
 
+def _max_rel_stderr(stats):
+    """max se(b_kl) / |b_kl| over the nonzero b_kl; NaN when b is exact."""
+    magnitude = np.abs(stats.b)
+    nonzero = magnitude > 0
+    if stats.b_stderr is None or not nonzero.any():
+        return np.nan
+    return float((stats.b_stderr[nonzero] / magnitude[nonzero]).max())
+
+
 def _baseline_record(cfg, setup_name, comb, drop, inst, plan, stats, p, n_antennas):
     """SE and EE of the optimal (all-serve) and partial decoders."""
     n_ue = len(stats.b)
@@ -229,6 +240,7 @@ def _baseline_record(cfg, setup_name, comb, drop, inst, plan, stats, p, n_antenn
         olsfd_se=o_se, olsfd_ee=o_ee,
         plsfd_se=p_se, plsfd_ee=p_ee,
         plsfd_mean_serving=float(p_assoc.sum(axis=1).mean()),
+        b_max_rel_stderr=_max_rel_stderr(stats),
     )
 
 
@@ -345,13 +357,16 @@ def _strict(obj):
 
 
 def diagnostics(report):
-    """Strict-JSON-serializable diagnostics dictionary (schema 2).
+    """Strict-JSON-serializable diagnostics dictionary (schema 3).
 
     Non-finite numbers, such as the fields of a failed cell, are None.
+    Each baseline carries b_max_rel_stderr, the largest Monte Carlo
+    standard error of b_kl relative to |b_kl|: None for exact (MR)
+    statistics.
     """
     cfg = report.config
     return _strict({
-        "schema": 2,
+        "schema": 3,
         "config": {
             "seed": cfg.seed,
             "setups": [list(s) for s in cfg.setups],
@@ -370,6 +385,7 @@ def diagnostics(report):
                 "combiner": b.combiner,
                 "drop": b.drop,
                 "error": b.error,
+                "b_max_rel_stderr": b.b_max_rel_stderr,
                 "powers_w": _tolist(b.powers),
                 "olsfd": {"per_ue_se": _tolist(b.olsfd_se), "ee": b.olsfd_ee},
                 "plsfd": {

@@ -6,13 +6,20 @@ Rayleigh fading: co-pilot UEs contaminate each other's observation, and
 the estimate and estimation error are independent with covariances B and
 C = R - B.
 
-Randomness contract: channel and pilot-noise realizations are drawn from
-substreams keyed by (seed, tag, link, chunk) with a fixed block chunk
-size, so any evaluation order reproduces identical blocks, and block b
-of a given link never depends on how many blocks are requested.  This
-module alone owns the contract: `draw_blocks` is the one loop over block
-chunks, and every Monte Carlo consumer (`estimate_channels`, the local
-MMSE statistics in `uplink`) iterates over it.
+Randomness contract: each AP's channel and pilot-noise realizations are
+drawn from one substream keyed by (seed, draw tag, AP, block chunk), with
+a fixed block chunk size.  The tag keeps these keys apart from the
+geometry stream (seed, 0) of `network`: SeedSequence pads its entropy
+with zeros, so an untagged (seed, 0, 0) would be that very stream.  A
+chunk's draw is a (blocks, K + tau_p, N) array of CN(0, 1) values,
+block-major: rows :K are the UEs' channel innovations and rows K: the
+noise of each pilot's observation, unused pilots included, so the layout
+depends only on K and tau_p.  Any evaluation order therefore reproduces
+identical blocks; block b of an AP never depends on how many blocks are
+requested, and AP l's blocks never depend on how many APs there are.
+This module alone owns the contract: `draw_blocks` is the one loop over
+block chunks, and every Monte Carlo consumer (`estimate_channels`, the
+local MMSE statistics in `uplink`) iterates over it.
 """
 
 from __future__ import annotations
@@ -24,11 +31,10 @@ import numpy as np
 from .linalg import herm, hermitian_sqrt
 
 # number of coherence blocks drawn per RNG substream; fixed so that block b
-# of a link is the same whatever the number of blocks requested
+# of an AP is the same whatever the number of blocks requested
 BLOCK_CHUNK = 256
 
-_TAG_CHANNEL = 1
-_TAG_PILOT_NOISE = 2
+_TAG_BLOCKS = 1
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,14 @@ def estimation_stats(instance, plan):
 
 def _complex_normal(rng, shape):
     """CN(0, 1) iid samples, interleaved so leading blocks are prefix-stable."""
-    return rng.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
+    z = rng.standard_normal(shape + (2,))
+    z /= np.sqrt(2.0)
+    return z.view(complex)[..., 0]
 
 
-def _substream(seed, tag, i, j, chunk):
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, i, j, chunk]))
+def _substream(seed, l, chunk):
+    key = np.random.SeedSequence([seed, _TAG_BLOCKS, l, chunk])
+    return np.random.default_rng(key)
 
 
 def draw_blocks(instance, plan, stats, seed, n_blocks):
@@ -135,28 +144,31 @@ def draw_blocks(instance, plan, stats, seed, n_blocks):
         raise ValueError("n_blocks must be positive")
     cfg = instance.cfg
     amp = np.sqrt(plan.tau_p * plan.rho_p)
-    sqrt_r = hermitian_sqrt(instance.R)
+    # per-link factors indexed [l, k] and transposed, so that row vectors
+    # map as z @ sqrt(R)^T and y @ est^T; sqrt(R) is Hermitian, so its
+    # transpose is its conjugate
+    sqrt_r_t = np.swapaxes(hermitian_sqrt(instance.R).conj(), 0, 1)
     # sqrt(tau_p rho_p) R Psi^-1 per link
-    est = amp * instance.R @ np.linalg.inv(stats.Psi)
+    est_t = np.transpose(amp * instance.R @ np.linalg.inv(stats.Psi), (1, 0, 3, 2))
+    # pilot observation y = mix @ h: UE k adds amp h_k to its pilot's row
+    mix = np.zeros((plan.tau_p, cfg.K))
+    mix[plan.assignment, np.arange(cfg.K)] = amp
+    noise_amp = np.sqrt(cfg.noise_var)
     for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK)):
         rows = slice(start, min(start + BLOCK_CHUNK, n_blocks))
         n_in_chunk = rows.stop - start
         for l in range(cfg.L):
-            h = np.empty((n_in_chunk, cfg.K, cfg.N), dtype=complex)
-            for k in range(cfg.K):
-                rng = _substream(seed, _TAG_CHANNEL, k, l, chunk)
-                z = _complex_normal(rng, (n_in_chunk, cfg.N))
-                h[:, k] = z @ sqrt_r[k, l].T
-            h_hat = np.empty_like(h)
-            for t, users in enumerate(plan.copilot):
-                if not users:
-                    continue
-                rng = _substream(seed, _TAG_PILOT_NOISE, t, l, chunk)
-                noise = _complex_normal(rng, (n_in_chunk, cfg.N))
-                y = amp * h[:, list(users)].sum(axis=1) + np.sqrt(cfg.noise_var) * noise
-                for k in users:
-                    h_hat[:, k] = y @ est[k, l].T
-            yield rows, l, h, h_hat
+            # K-major: UE or pilot first, then blocks and antennas
+            z = _complex_normal(
+                _substream(seed, l, chunk), (n_in_chunk, cfg.K + plan.tau_p, cfg.N)
+            ).swapaxes(0, 1)
+            h = z[:cfg.K] @ sqrt_r_t[l]
+            y = (mix @ h.reshape(cfg.K, -1)).reshape(plan.tau_p, n_in_chunk, cfg.N)
+            noise = z[cfg.K:]
+            noise *= noise_amp  # in place: z is this draw's own buffer
+            y += noise
+            h_hat = y[plan.assignment] @ est_t[l]
+            yield rows, l, h.swapaxes(0, 1), h_hat.swapaxes(0, 1)
 
 
 def estimate_channels(instance, plan, stats, seed, n_blocks=1):

@@ -25,11 +25,20 @@ The second follows from E|x^H Q x|^2 = |tr Q S|^2 + tr(Q S Q^H S) for a
 circular Gaussian x with covariance S.  MR draws no random numbers.
 
 Local MMSE has no closed form, so its moments are Monte Carlo sample
-means over coherence blocks (never an L x L sample outer product).  The
-draws come one AP and one block chunk at a time from
-`pilots.draw_blocks`, which alone owns the randomness contract; each
-chunk's sums are added to running sums in chunk order, so a given seed
-and block count always give bit-identical results.
+means over coherence blocks (never an L x L sample outer product).  Only
+the power-weighted sum sum_i p_i E|g_kil|^2 enters A, and per block it
+is the quadratic form v_kl^H Q_l v_kl with Q_l = sum_i p_i h_il h_il^H,
+so no (blocks, K, K) array of g is formed; the block sums of g are one
+matrix product over (block, antenna).  The draws come one AP and one
+block chunk at a time from `pilots.draw_blocks`, which alone owns the
+randomness contract; each chunk's sums are added to running sums in
+chunk order, so a given seed and block count always give bit-identical
+results.  The same sums give the Monte Carlo standard error of b,
+se(b_kl) = sqrt(p_k (E|g_kkl|^2 - |E g_kkl|^2) / n_blocks).
+
+A is filled by one matrix product whose strict upper triangle is then
+mirrored into the lower one, so it is exactly Hermitian and C-ordered
+whatever numpy does with temporaries.
 """
 
 from __future__ import annotations
@@ -50,15 +59,21 @@ class Combiner(enum.Enum):
 
 @dataclass(frozen=True)
 class LsfdStatistics:
-    """Decoding statistics per UE: A (K, L, L), b (K, L), powers p (K,)."""
+    """Decoding statistics per UE: A (K, L, L), b (K, L), powers p (K,).
+
+    b_stderr (K, L) is the Monte Carlo standard error of b, or None when
+    b is exact (MR).
+    """
 
     A: np.ndarray
     b: np.ndarray
     p: np.ndarray
+    b_stderr: np.ndarray = None
 
     def __post_init__(self):
-        for arr in (self.A, self.b, self.p):
-            arr.flags.writeable = False
+        for arr in (self.A, self.b, self.p, self.b_stderr):
+            if arr is not None:
+                arr.flags.writeable = False
 
 
 def lmmse_combiner(h_hats, error_covs, p, noise_var):
@@ -78,23 +93,28 @@ def lmmse_combiner(h_hats, error_covs, p, noise_var):
 def _lmmse_moments(instance, plan, stats, p, n_blocks, seed):
     """Monte Carlo per-AP moments of local MMSE over n_blocks blocks.
 
-    Returns the sample means of g[l, k, i] = v_kl^H h_il and |g[l, k, i]|^2,
-    each (L, K, K), and of ||v_kl||^2 as (L, K).  Each AP's per-chunk sums
-    are added to running sums in chunk order.
+    With g[l, k, i] = v_kl^H h_il, returns the sample means of g (L, K, K),
+    of sum_i p_i |g[l, k, i]|^2 (L, K), of ||v_kl||^2 (L, K) and of
+    |g[l, k, k]|^2 (L, K).  Each AP's per-chunk sums are added to running
+    sums in chunk order.
     """
     cfg = instance.cfg
     sum_g = np.zeros((cfg.L, cfg.K, cfg.K), dtype=complex)
-    sum_g2 = np.zeros((cfg.L, cfg.K, cfg.K))
+    sum_power = np.zeros((cfg.L, cfg.K))
     sum_vnorm = np.zeros((cfg.L, cfg.K))
+    sum_own2 = np.zeros((cfg.L, cfg.K))
     for _, l, h, h_hat in draw_blocks(instance, plan, stats, seed, n_blocks):
         v = lmmse_combiner(h_hat, stats.C[:, l], p, cfg.noise_var)  # (blocks, K, N)
-        g = v.conj() @ np.swapaxes(h, 1, 2)  # (blocks, K, K)
-        sum_g[l] += g.sum(axis=0)
-        sum_g2[l] += (g.real**2 + g.imag**2).sum(axis=0)
-        sum_vnorm[l] += (v.real**2 + v.imag**2).sum(axis=(0, 2))
-    for total in (sum_g, sum_g2, sum_vnorm):
+        v_conj = v.conj()
+        sum_g[l] += np.tensordot(v_conj, h, axes=([0, 2], [0, 2]))
+        q = (np.swapaxes(h, 1, 2) * p) @ h.conj()  # (blocks, N, N)
+        sum_power[l] += np.einsum("bkn,bkn->k", v_conj @ q, v).real
+        sum_vnorm[l] += np.einsum("bkn,bkn->k", v_conj, v).real
+        own = np.einsum("bkn,bkn->bk", v_conj, h)  # g[l, k, k] per block
+        sum_own2[l] += (own.real**2 + own.imag**2).sum(axis=0)
+    for total in (sum_g, sum_power, sum_vnorm, sum_own2):
         total /= n_blocks
-    return sum_g, sum_g2, sum_vnorm
+    return sum_g, sum_power, sum_vnorm, sum_own2
 
 
 def _mr_moments(instance, plan, stats):
@@ -133,18 +153,26 @@ def estimate_lsfd_statistics(instance, plan, stats, combiner, p, n_blocks, seed)
     cfg = instance.cfg
     if Combiner(combiner) is Combiner.MR:
         mean_g, mean_g2, mean_vnorm = _mr_moments(instance, plan, stats)
+        mean_power, mean_own2 = mean_g2 @ p, None
     else:
-        mean_g, mean_g2, mean_vnorm = _lmmse_moments(
+        mean_g, mean_power, mean_vnorm, mean_own2 = _lmmse_moments(
             instance, plan, stats, p, n_blocks, seed
         )
+    own = np.diagonal(mean_g, axis1=1, axis2=2).T  # (K, L): E g_kkl
+    b = np.sqrt(p)[:, None] * own
+    b_stderr = None
+    if mean_own2 is not None:  # Monte Carlo: se(b_kl) from the same sums
+        var = np.maximum(mean_own2.T - (own.real**2 + own.imag**2), 0.0)
+        b_stderr = np.sqrt(p[:, None] * var / n_blocks)
     # per-AP independence: E{g_kil g_kil'^*} = E{g_kil} E{g_kil'}^* for
     # l != l'; the diagonal keeps the second moments
     m = np.swapaxes(mean_g, 0, 1)  # (K, L, K): m[k, l, i] = E g_kil
-    big_a = (m * p) @ herm(m)
-    diag = mean_g2 @ p + cfg.noise_var * mean_vnorm  # (L, K)
+    big_a = np.empty((cfg.K, cfg.L, cfg.L), dtype=complex)
+    np.matmul(m * p, herm(m), out=big_a)
+    for l in range(cfg.L - 1):  # mirror the strict upper triangle
+        np.conj(big_a[:, l, l + 1:], out=big_a[:, l + 1:, l])
+    diag = mean_power + cfg.noise_var * mean_vnorm  # (L, K)
     big_a[:, np.arange(cfg.L), np.arange(cfg.L)] = diag.T
-    big_a = 0.5 * (big_a + herm(big_a))
-    b = np.sqrt(p)[:, None] * np.diagonal(mean_g, axis1=1, axis2=2).T
     if not (np.all(np.isfinite(big_a)) and np.all(np.isfinite(b))):
         raise FloatingPointError("LSFD statistics are not finite")
-    return LsfdStatistics(A=big_a, b=b, p=p.copy())
+    return LsfdStatistics(A=big_a, b=b, p=p.copy(), b_stderr=b_stderr)

@@ -196,7 +196,8 @@ def test_criterion_6_statistics_convergence():
     # scalar links (N = 1, one UE): B = s beta^2 / (s beta + noise) with
     # s = tau_p rho_p, and MR gives b_l = sqrt(p) B_l and
     # A_ll = p (beta_l B_l + B_l^2) + noise B_l; the Monte Carlo oracle
-    # converges to both
+    # converges to both.  At 4e5 blocks the weakest link's b has a relative
+    # standard error of 0.66 %, so the 2 % limit sits 3 errors out
     t0 = time.perf_counter()
     cfg = NetworkConfig(L=3, N=1, K=1, side_m=100.0, shadow_std_db=4.0,
                         noise_var=1.0, gain_offset_db=95.0)
@@ -216,7 +217,7 @@ def test_criterion_6_statistics_convergence():
     stats = estimate_lsfd_statistics(inst, plan, est, Combiner.MR, p,
                                      n_blocks=1, seed=21)
     exact = {"b": stats.b[0], "diag(A)": np.diagonal(stats.A[0])}
-    oracle = mr_monte_carlo(inst, plan, est, p, n_blocks=100_000, seed=21)
+    oracle = mr_monte_carlo(inst, plan, est, p, n_blocks=400_000, seed=21)
     sampled = {"b": oracle["b"][0][0], "diag(A)": np.diagonal(oracle["A"][0][0])}
     worst_exact = max(np.max(np.abs(exact[k] - analytic[k]) / analytic[k])
                       for k in analytic)
@@ -227,7 +228,7 @@ def test_criterion_6_statistics_convergence():
           and dt < 30.0)
     _gate(6, ok, f"scalar closed-form gap {worst_cf:.2e} for B and "
                  f"{worst_exact:.2e} for MR b, diag(A) (limit 1e-12), "
-                 f"Monte Carlo gap {worst_mc:.4f} at 1e5 blocks (limit 0.02), "
+                 f"Monte Carlo gap {worst_mc:.4f} at 4e5 blocks (limit 0.02), "
                  f"{dt:.1f}s (limit 30s)")
 
 

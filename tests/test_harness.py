@@ -358,7 +358,7 @@ def test_paper_setup_a_completes():
 
 def test_diagnostics_schema(mini_report):
     diag = diagnostics(mini_report)
-    assert diag["schema"] == 2
+    assert diag["schema"] == 3
     assert diag["failures"] == 0
     assert diag["config"]["seed"] == 7
     assert len(diag["cells"]) == len(mini_report.records)
@@ -370,7 +370,23 @@ def test_diagnostics_schema(mini_report):
     for base in diag["baselines"]:
         assert len(base["olsfd"]["per_ue_se"]) == 4
         assert base["plsfd"]["ee"] > 0
+        # MR statistics are exact: no Monte Carlo error bar
+        assert base["b_max_rel_stderr"] is None
     json.dumps(diag)
+
+
+def test_diagnostics_report_the_monte_carlo_error_bar():
+    # local MMSE: the largest se(b_kl) / |b_kl| of each drop's statistics,
+    # shrinking as 1 / sqrt(n_blocks); it never reaches the CSV
+    bars = []
+    for n_blocks in (100, 1600):
+        report = run_experiment(mini_config(combiners=(Combiner.LMMSE,),
+                                            n_blocks=n_blocks, n_drops=1))
+        (base,) = diagnostics(report)["baselines"]
+        bars.append(base["b_max_rel_stderr"])
+        assert "stderr" not in sweep_summary(report)[0]
+    assert 0 < bars[1] < bars[0]
+    assert 0.15 < bars[1] / bars[0] < 0.4
 
 
 def test_write_outputs(tmp_path, mini_report):
@@ -383,7 +399,7 @@ def test_write_outputs(tmp_path, mini_report):
     assert len(lines) == 4
     with open(tmp_path / "out" / "diagnostics.json") as fh:
         diag = json.load(fh)
-    assert diag["schema"] == 2
+    assert diag["schema"] == 3
 
 
 # ------------------------------------------------------------------------ CLI

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from sparselsfd import NetworkConfig, generate_network
 from sparselsfd.linalg import hermitian_sqrt
-from sparselsfd.network import correlation_matrix
+from sparselsfd.network import _TAG_GEOMETRY, correlation_matrix
 from sparselsfd.pilots import (
-    _TAG_CHANNEL,
-    _TAG_PILOT_NOISE,
+    _TAG_BLOCKS,
     BLOCK_CHUNK,
+    EstimationStats,
     PilotPlan,
     _substream,
     assign_pilots,
@@ -192,33 +194,59 @@ def contaminated_setup():
 
 
 def test_estimate_channels_follow_substreams():
-    # the randomness contract, rebuilt link by link: channel substreams keyed
-    # by (seed, channel tag, UE, AP, chunk), pilot noise by (seed, noise
-    # tag, pilot, AP, chunk), BLOCK_CHUNK blocks per chunk
+    # the randomness contract, rebuilt AP by AP: one substream per (seed,
+    # draw tag, AP, chunk) draws a block-major (blocks, K + tau_p, N) array,
+    # rows :K the channel innovations and rows K: the pilot noise,
+    # BLOCK_CHUNK blocks per chunk
     inst, plan, stats = contaminated_setup()
     cfg = inst.cfg
     seed, n_blocks = 14, BLOCK_CHUNK + 40
     h, h_hat = estimate_channels(inst, plan, stats, seed, n_blocks=n_blocks)
     amp = np.sqrt(plan.tau_p * plan.rho_p)
 
-    def normal(tag, i, l, chunk, size):
-        z = _substream(seed, tag, i, l, chunk).standard_normal((size, cfg.N, 2))
-        return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-
     for chunk, start in enumerate(range(0, n_blocks, BLOCK_CHUNK)):
         size = min(BLOCK_CHUNK, n_blocks - start)
         rows = slice(start, start + size)
         for l in range(cfg.L):
-            h_ref = [normal(_TAG_CHANNEL, k, l, chunk, size)
-                     @ hermitian_sqrt(inst.R[k, l]).T for k in range(cfg.K)]
+            shape = (size, cfg.K + plan.tau_p, cfg.N, 2)
+            key = np.random.SeedSequence([seed, _TAG_BLOCKS, l, chunk])
+            z = np.random.default_rng(key).standard_normal(shape)
+            z = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+            h_ref = [z[:, k] @ hermitian_sqrt(inst.R[k, l]).T for k in range(cfg.K)]
             for k in range(cfg.K):
                 npt.assert_allclose(h[rows, k, l], h_ref[k], rtol=1e-12)
             for t, users in enumerate(plan.copilot):
-                noise = normal(_TAG_PILOT_NOISE, t, l, chunk, size)
+                noise = z[:, cfg.K + t]
                 y = amp * sum(h_ref[k] for k in users) + np.sqrt(cfg.noise_var) * noise
                 for k in users:
                     est = amp * inst.R[k, l] @ np.linalg.inv(stats.Psi[k, l])
                     npt.assert_allclose(h_hat[rows, k, l], y @ est.T, rtol=1e-12)
+
+
+def test_ap_draws_do_not_depend_on_the_ap_count():
+    # an instance cut to its first APs gives those APs identical blocks
+    inst, plan, stats = contaminated_setup()
+    n_ap = 2
+    cut = replace(inst, cfg=replace(inst.cfg, L=n_ap), beta=inst.beta[:, :n_ap],
+                  R=inst.R[:, :n_ap])
+    cut_stats = EstimationStats(Psi=stats.Psi[:, :n_ap], B=stats.B[:, :n_ap],
+                                C=stats.C[:, :n_ap])
+    n_blocks = BLOCK_CHUNK + 40
+    h, h_hat = estimate_channels(inst, plan, stats, seed=16, n_blocks=n_blocks)
+    h_cut, h_hat_cut = estimate_channels(cut, plan, cut_stats, seed=16,
+                                         n_blocks=n_blocks)
+    npt.assert_array_equal(h_cut, h[:, :, :n_ap])
+    npt.assert_array_equal(h_hat_cut, h_hat[:, :, :n_ap])
+
+
+def test_block_draws_do_not_reuse_the_geometry_stream():
+    # SeedSequence pads its entropy with zeros, so without the draw tag the
+    # key (seed, 0, 0) of AP 0's first chunk would be the geometry key
+    # (seed, 0) of generate_network, which the harness calls with the same
+    # seed
+    seed = 5
+    geometry = np.random.default_rng(np.random.SeedSequence([seed, _TAG_GEOMETRY]))
+    assert not np.array_equal(_substream(seed, 0, 0).random(8), geometry.random(8))
 
 
 def test_draw_blocks_chunk_then_ap_order():

@@ -115,11 +115,12 @@ def lmmse_draws(inst, plan, est, p, n_blocks, seed):
     return h, v
 
 
-def test_statistics_match_manual_accumulation():
-    # rebuild A_k, b_k by hand from per-AP means and second moments of the
-    # public per-block draws with local MMSE combining; 300 blocks span two
-    # chunks
-    inst, plan, est = small_pipeline(seed=21)
+@pytest.mark.parametrize("n_ant", [1, 2])
+def test_statistics_match_manual_accumulation(n_ant):
+    # rebuild A_k, b_k and the standard error of b by hand from per-AP
+    # means and second moments of the public per-block draws with local
+    # MMSE combining; 300 blocks span two chunks
+    inst, plan, est = small_pipeline(seed=21, n_ant=n_ant)
     p = np.array([0.08, 0.03, 0.1])
     n_blocks = 300
     stats = estimate_lsfd_statistics(inst, plan, est, Combiner.LMMSE, p,
@@ -149,8 +150,12 @@ def test_statistics_match_manual_accumulation():
                     a_manual[k, l, m] = np.sum(
                         p * mean_g[k, l] * mean_g[k, m].conj())
     b_manual = np.sqrt(p)[:, None] * mean_g[np.arange(n_ue), :, np.arange(n_ue)]
+    own = np.arange(n_ue)
+    var = mean_g2[own, :, own] - np.abs(mean_g[own, :, own]) ** 2
+    stderr_manual = np.sqrt(p[:, None] * var / n_blocks)
     npt.assert_allclose(stats.A, a_manual, rtol=1e-10, atol=1e-20)
     npt.assert_allclose(stats.b, b_manual, rtol=1e-10)
+    npt.assert_allclose(stats.b_stderr, stderr_manual, rtol=1e-8)
 
 
 def full_outer_product_statistics(inst, plan, est, p, n_blocks, seed):
@@ -164,10 +169,11 @@ def full_outer_product_statistics(inst, plan, est, p, n_blocks, seed):
     return big_a, b
 
 
-def test_statistics_agree_with_full_outer_product():
+@pytest.mark.parametrize("n_ant", [1, 2])
+def test_statistics_agree_with_full_outer_product(n_ant):
     # the per-AP estimator matches the L x L sample estimator on b and
     # diag(A); off the diagonal the two differ by Monte Carlo noise only
-    inst, plan, est = small_pipeline(seed=24)
+    inst, plan, est = small_pipeline(seed=24, n_ant=n_ant)
     p = np.array([0.05, 0.1, 0.07])
     eye = np.eye(inst.cfg.L, dtype=bool)
     gaps = []
@@ -289,6 +295,19 @@ def test_statistics_invariants():
             assert np.linalg.eigvalsh(a_k - np.outer(b_k, b_k.conj())).min() > 0
             quad = np.vdot(b_k, np.linalg.solve(a_k, b_k))
             assert abs(quad.imag) <= 1e-10 * abs(quad.real)
+
+
+def test_statistics_a_is_hermitian_and_c_contiguous():
+    # A is exactly Hermitian with a real diagonal and C-ordered for both
+    # combiners, also at sizes (K L^2 complex >= 256 KiB) where numpy
+    # reuses temporaries
+    for n_ap, combiner in ((4, Combiner.LMMSE), (4, Combiner.MR), (80, Combiner.MR)):
+        inst, plan, est = small_pipeline(seed=26, n_ap=n_ap)
+        stats = estimate_lsfd_statistics(inst, plan, est, combiner,
+                                         np.full(3, 0.1), 40, seed=2)
+        assert stats.A.flags.c_contiguous
+        npt.assert_array_equal(stats.A, np.swapaxes(stats.A, 1, 2).conj())
+        assert (stats.b_stderr is None) == (combiner is Combiner.MR)
 
 
 def test_statistics_validation():
